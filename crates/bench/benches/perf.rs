@@ -13,6 +13,7 @@ use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
+use sim::profile::profile_reference;
 use sim::{Engine, Memory, Schedule};
 
 fn profiled_gesummv(engine: &Engine, n: usize) -> (sim::KernelProfile, sim::NdRange) {
@@ -154,8 +155,6 @@ fn bench_training_sweep(c: &mut Criterion) {
 /// (the runtime caches the `CompiledKernel` in `PreparedKernel`, so
 /// `vm_precompiled` is the shape every launch actually pays).
 fn bench_cold_profile(c: &mut Criterion) {
-    let mut reference = Engine::kaveri();
-    reference.reference_interpreter = true;
     let vm_engine = Engine::kaveri();
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 16384, 256);
@@ -163,7 +162,11 @@ fn bench_cold_profile(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cold_profile_gesummv_16k");
     group.bench_function("tree_walker", |b| {
-        b.iter(|| reference.profile(built.spec(), &mut mem).unwrap().ops_per_item())
+        b.iter(|| {
+            profile_reference(&built.kernel, &built.args, &built.nd, &mut mem)
+                .unwrap()
+                .ops_per_item()
+        })
     });
     group.bench_function("vm_compile_included", |b| {
         b.iter(|| vm_engine.profile(built.spec(), &mut mem).unwrap().ops_per_item())

@@ -13,6 +13,7 @@ use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
+use sim::profile::profile_reference;
 use sim::{Engine, Memory, Schedule};
 use std::time::Instant;
 
@@ -112,11 +113,11 @@ fn main() {
     // 3. Cold-profile cost: sampled interpretation of gesummv at paper
     // scale on the tree-walking reference interpreter vs the bytecode VM
     // (compile included, and precompiled as the enqueue path pays it).
-    let mut reference = fast.clone();
-    reference.reference_interpreter = true;
     let ck = sim::compile_kernel(&built.kernel).unwrap();
     let profile_tree_s = time_median(9, || {
-        std::hint::black_box(reference.profile(built.spec(), &mut mem).unwrap());
+        std::hint::black_box(
+            profile_reference(&built.kernel, &built.args, &built.nd, &mut mem).unwrap(),
+        );
     });
     let profile_vm_s = time_median(9, || {
         std::hint::black_box(fast.profile(built.spec(), &mut mem).unwrap());

@@ -372,7 +372,7 @@ fn collect_identifiers(kernel: &Kernel) -> Vec<String> {
 mod tests {
     use super::*;
     use clc::printer::print_kernel;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::run_functional;
     use sim::{ArgValue, Memory, NdRange};
 
     fn compile1(src: &str) -> Kernel {
@@ -445,13 +445,11 @@ mod tests {
         let expected = {
             let mut mem = Memory::new();
             let a = mem.alloc_f32((0..256).map(|i| i as f32).collect());
-            run_kernel(
+            run_functional(
                 &original,
                 &[ArgValue::Buffer(a), ArgValue::Float(3.0), ArgValue::Int(256)],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
             )
             .unwrap();
             mem.read_f32(a).to_vec()
@@ -459,7 +457,7 @@ mod tests {
         for (dop_mod, dop_alloc) in [(8, 1), (8, 3), (8, 8), (4, 2), (64, 1)] {
             let mut mem = Memory::new();
             let a = mem.alloc_f32((0..256).map(|i| i as f32).collect());
-            run_kernel(
+            run_functional(
                 &malleable,
                 &[
                     ArgValue::Buffer(a),
@@ -470,8 +468,6 @@ mod tests {
                 ],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
             )
             .unwrap();
             assert_eq!(
@@ -498,13 +494,11 @@ mod tests {
         let expected = {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![0.0; 32 * 16]);
-            run_kernel(
+            run_functional(
                 &original,
                 &[ArgValue::Buffer(a), ArgValue::Int(32), ArgValue::Int(16)],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
             )
             .unwrap();
             mem.read_f32(a).to_vec()
@@ -512,7 +506,7 @@ mod tests {
         for (dop_mod, dop_alloc) in [(8, 1), (8, 5), (8, 8)] {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![0.0; 32 * 16]);
-            run_kernel(
+            run_functional(
                 &malleable,
                 &[
                     ArgValue::Buffer(a),
@@ -523,8 +517,6 @@ mod tests {
                 ],
                 &nd,
                 &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
             )
             .unwrap();
             assert_eq!(mem.read_f32(a), &expected[..], "mod={} alloc={}", dop_mod, dop_alloc);
@@ -566,8 +558,7 @@ mod tests {
                 ArgValue::Int(n as i64),
             ];
             args.extend_from_slice(extra);
-            run_kernel(k, &args, &nd, &mut mem, &ExecOptions::default(), &mut NullTracer)
-                .unwrap();
+            run_functional(k, &args, &nd, &mut mem).unwrap();
             mem.read_f32(c).to_vec()
         };
         let expected = run_with(&original, &[]);
@@ -590,8 +581,7 @@ mod tests {
             let mut args =
                 vec![ArgValue::Buffer(a), ArgValue::Float(2.0), ArgValue::Int(128)];
             args.extend_from_slice(extra);
-            run_kernel(k, &args, &nd, &mut mem, &ExecOptions::default(), &mut NullTracer)
-                .unwrap();
+            run_functional(k, &args, &nd, &mut mem).unwrap();
             mem.read_f32(a).to_vec()
         };
         let expected = run_with(&original, &[]);

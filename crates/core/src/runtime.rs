@@ -3,8 +3,10 @@
 //! [`Dopia`] mirrors the OpenCL entry points the paper interposes on:
 //!
 //! * [`Dopia::create_program_with_source`] — compile-time path: parse and
-//!   check the kernels, extract the Table 1 code features, generate the
-//!   malleable GPU variants (Figs. 5/6) and the CPU code (Fig. 7).
+//!   check the kernels, extract the Table 1 code features, check that the
+//!   malleable rewrite (Figs. 5/6) applies, and lower each kernel to the
+//!   bytecode its profiles run on. The rewrite and the CPU code (Fig. 7)
+//!   are generated on demand for inspection; no simulated launch runs them.
 //! * [`Dopia::enqueue_nd_range_kernel`] — run-time path: combine static and
 //!   launch features, sweep the ML model over the 44 DoP configurations,
 //!   then co-execute with the dynamic CPU-pull / GPU-push distributor
@@ -15,7 +17,7 @@
 //! overhead … is included").
 
 use crate::cache::{CacheStats, CachedDecision, DecisionCache, LaunchKey};
-use crate::codegen::{generate_cpu_source, malleable::transform_malleable};
+use crate::codegen::malleable::transform_malleable;
 use crate::configs::{config_space, find_config, DopPoint};
 use crate::features::{extract_code_features, CodeFeatures};
 use crate::model::{heuristic_select, PerfModel, Selection};
@@ -105,8 +107,8 @@ impl From<sim::interp::ExecError> for DopiaError {
 /// managed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DegradedMode {
-    /// Malleable GPU variants and CPU code are available; launches get the
-    /// full model-driven CPU+GPU co-execution.
+    /// The malleable rewrite applies to 1-D and 2-D launches; launches get
+    /// the full model-driven CPU+GPU co-execution.
     FullyManaged,
     /// Only the original kernel is usable: launches run GPU-only with a
     /// single static dispatch and no model selection.
@@ -126,41 +128,25 @@ pub struct PreparedKernel {
     pub original: clc::Kernel,
     /// Static code features (Table 1, top six rows).
     pub features: CodeFeatures,
-    /// Whether the kernel is fully managed or degraded.
+    /// Whether the kernel is fully managed or degraded. No launch executes
+    /// the malleable rewrite (Figs. 5/6) or the CPU code (Fig. 7);
+    /// `transform_malleable` / `generate_cpu_source` produce them on
+    /// demand for inspection.
     pub degraded_mode: DegradedMode,
-    /// Malleable GPU variant for 1-D launches (Fig. 5); `None` when
-    /// degraded.
-    pub malleable_1d: Option<clc::Kernel>,
-    /// Malleable GPU variant for 2-D launches (Fig. 6); `None` when
-    /// degraded.
-    pub malleable_2d: Option<clc::Kernel>,
-    /// Generated CPU code (Fig. 7), 1-D and 2-D.
-    pub cpu_source_1d: String,
-    pub cpu_source_2d: String,
     /// The original kernel lowered to flat bytecode at program build time;
     /// every profile of this kernel runs on the register VM against this
-    /// handle. `None` only if bytecode compilation rejected the kernel —
-    /// profiling then falls back to the tree-walking interpreter, another
-    /// arm of graceful degradation. Invalidated with the prepared kernel
-    /// itself: a rebuild mints a new [`CompiledKernel`] (fresh `code_id`),
-    /// and the launch cache keys on that id.
+    /// handle. Always `Some` for kernels from `create_program_*` (a kernel
+    /// that cannot be lowered fails the build). Invalidated with the
+    /// prepared kernel itself: a rebuild mints a new [`CompiledKernel`]
+    /// (fresh `code_id`), and the launch cache keys on that id.
     pub compiled: Option<Arc<CompiledKernel>>,
 }
 
 impl PreparedKernel {
-    /// `code_id` of the compiled bytecode, or 0 when profiling falls back
-    /// to the tree-walker (cache keys embed this).
+    /// `code_id` of the compiled bytecode (cache keys embed this); 0 for a
+    /// hand-built kernel without bytecode.
     pub fn code_id(&self) -> u64 {
         self.compiled.as_ref().map(|c| c.code_id()).unwrap_or(0)
-    }
-    /// The malleable variant for a launch dimensionality (`None` when the
-    /// kernel is degraded to [`DegradedMode::GpuOriginalOnly`]).
-    pub fn malleable(&self, work_dim: usize) -> Option<&clc::Kernel> {
-        if work_dim == 1 {
-            self.malleable_1d.as_ref()
-        } else {
-            self.malleable_2d.as_ref()
-        }
     }
 
     /// Whether launches of this kernel run in a reduced mode.
@@ -416,29 +402,21 @@ impl Dopia {
             // launchable as GPU-original-only instead of failing the whole
             // program (an unmanaged kernel is strictly better than no
             // program).
-            let (degraded_mode, malleable_1d, malleable_2d) =
-                match (transform_malleable(&kernel, 1), transform_malleable(&kernel, 2)) {
-                    (Ok(m1), Ok(m2)) => (DegradedMode::FullyManaged, Some(m1), Some(m2)),
-                    (Err(e), _) | (_, Err(e)) => {
-                        (DegradedMode::GpuOriginalOnly { reason: e.to_string() }, None, None)
-                    }
+            let degraded_mode =
+                match transform_malleable(&kernel, 1).and_then(|_| transform_malleable(&kernel, 2)) {
+                    Ok(_) => DegradedMode::FullyManaged,
+                    Err(e) => DegradedMode::GpuOriginalOnly { reason: e.to_string() },
                 };
-            let cpu_source_1d = generate_cpu_source(&kernel, 1);
-            let cpu_source_2d = generate_cpu_source(&kernel, 2);
-            // Lower to bytecode once per program build; a kernel the
-            // bytecode compiler rejects stays launchable on the
-            // tree-walking interpreter.
-            let compiled = sim::compile_kernel(&kernel).ok().map(Arc::new);
+            // Lower to bytecode once per program build. A kernel the VM
+            // cannot hold (register-file overflow, a barrier inside control
+            // flow) could never be profiled, so it fails the build.
+            let compiled = Arc::new(sim::compile_kernel(&kernel)?);
             kernels.push(PreparedKernel {
                 id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
                 original: kernel,
                 features,
                 degraded_mode,
-                malleable_1d,
-                malleable_2d,
-                cpu_source_1d,
-                cpu_source_2d,
-                compiled,
+                compiled: Some(compiled),
             });
         }
         Ok(Program { source: source.to_string(), kernels })
@@ -629,17 +607,15 @@ impl Dopia {
                 "injected transient profile failure".to_string(),
             ));
         }
-        // Hot path: the bytecode cached at program build time, skipping
-        // per-launch lowering. Kernels without a compiled form (or runs
-        // forcing the reference interpreter) go through `Engine::profile`,
-        // which picks the engine per its options.
-        if !self.engine.reference_interpreter {
-            if let Some(ck) = &prepared.compiled {
-                return Ok(self.engine.profile_compiled(ck, args, &nd, mem)?);
+        // Hot path: the bytecode lowered at program build time. Only a
+        // hand-built kernel without it is lowered per launch.
+        match &prepared.compiled {
+            Some(ck) => Ok(self.engine.profile_compiled(ck, args, &nd, mem)?),
+            None => {
+                let spec = sim::engine::LaunchSpec { kernel: &prepared.original, args, nd };
+                Ok(self.engine.profile(spec, mem)?)
             }
         }
-        let spec = sim::engine::LaunchSpec { kernel: &prepared.original, args, nd };
-        Ok(self.engine.profile(spec, mem)?)
     }
 
     /// Model selection + simulated co-execution for an already-profiled
@@ -794,7 +770,7 @@ mod tests {
             .unwrap();
         let prepared = program.kernel("gesummv").unwrap();
         assert!(prepared.features.mem_continuous >= 4);
-        assert!(prepared.cpu_source_1d.contains("gesummv_CPU"));
+        assert!(!prepared.is_degraded());
 
         let mut mem = Memory::new();
         let built = workloads::polybench::gesummv(&mut mem, 4096, 256);
@@ -895,18 +871,27 @@ mod tests {
     }
 
     #[test]
-    fn program_holds_both_malleable_variants() {
+    fn two_dimensional_kernel_is_fully_managed_with_bytecode() {
         let dopia = trained_dopia();
         let program = dopia
             .create_program_with_source(workloads::polybench::CONV2D_SRC)
             .unwrap();
         let k = program.kernel("conv2d").unwrap();
-        assert!(!k.is_degraded());
-        let src1 = clc::printer::print_kernel(k.malleable_1d.as_ref().unwrap());
-        let src2 = clc::printer::print_kernel(k.malleable_2d.as_ref().unwrap());
-        assert!(src1.contains("dop_gpu_mod"));
-        assert!(src2.contains("get_local_size(0) * get_local_size(1)"));
-        assert_eq!(k.malleable(2).unwrap().name, "conv2d");
+        assert_eq!(k.degraded_mode, DegradedMode::FullyManaged);
+        let ck = k.compiled.as_ref().expect("every built kernel carries bytecode");
+        assert_eq!(ck.name(), "conv2d");
+        assert_eq!(k.code_id(), ck.code_id());
+    }
+
+    #[test]
+    fn register_file_overflow_fails_the_build() {
+        // One scope with more simultaneously live `int`s than the VM's
+        // 16-bit register file can index.
+        let decls: String = (0..65_536).map(|i| format!("int v{i} = {i};")).collect();
+        let src = format!("__kernel void huge(__global int* out) {{ {decls} out[0] = v0; }}");
+        let err = trained_dopia().create_program_with_source(&src).unwrap_err();
+        assert!(matches!(err, DopiaError::Exec(_)), "{:?}", err);
+        assert!(err.to_string().contains("register file overflow"), "{}", err);
     }
 
     #[test]
@@ -920,12 +905,10 @@ mod tests {
         let program = dopia.create_program_with_source(src).unwrap();
         assert_eq!(program.kernels.len(), 2);
         let good = program.kernel("good").unwrap();
-        assert!(!good.is_degraded());
-        assert!(good.malleable(1).is_some());
+        assert_eq!(good.degraded_mode, DegradedMode::FullyManaged);
         let tricky = program.kernel("tricky").unwrap();
         assert!(tricky.is_degraded());
         assert!(matches!(tricky.degraded_mode, DegradedMode::GpuOriginalOnly { .. }));
-        assert!(tricky.malleable(1).is_none());
 
         // The degraded kernel still launches: GPU-only, all work done.
         let mut mem = Memory::new();

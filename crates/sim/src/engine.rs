@@ -4,7 +4,7 @@ use crate::buffer::{ArgValue, Memory};
 use crate::cost::{self, ModelConstants};
 use crate::des::{self, DesInput, GpuAgentParams};
 use crate::fault::FaultPlan;
-use crate::interp::{self, CompiledKernel, ExecError, ExecOptions, NullTracer};
+use crate::interp::{CompiledKernel, ExecError};
 use crate::ndrange::NdRange;
 use crate::platform::PlatformConfig;
 use crate::profile::{self, KernelProfile};
@@ -82,20 +82,11 @@ pub struct Engine {
     /// fast path applies. Used by the equivalence suite and the perf
     /// benchmarks to measure both paths through the same API.
     pub exact_des_only: bool,
-    /// Profile on the tree-walking reference interpreter instead of the
-    /// bytecode VM. The oracle for the differential suite; ~an order of
-    /// magnitude slower on cold enqueues.
-    pub reference_interpreter: bool,
 }
 
 impl Engine {
     pub fn new(platform: PlatformConfig) -> Self {
-        Engine {
-            platform,
-            consts: ModelConstants::default(),
-            exact_des_only: false,
-            reference_interpreter: false,
-        }
+        Engine { platform, consts: ModelConstants::default(), exact_des_only: false }
     }
 
     pub fn kaveri() -> Self {
@@ -113,7 +104,7 @@ impl Engine {
         spec.nd
             .validate()
             .map_err(|m| ExecError { message: m, span: spec.kernel.span })?;
-        profile::profile_kernel_with(spec.kernel, spec.args, &spec.nd, mem, &self.profile_opts())
+        profile::profile_kernel(spec.kernel, spec.args, &spec.nd, mem)
     }
 
     /// [`Engine::profile`] on a pre-compiled kernel — the cold-enqueue hot
@@ -127,24 +118,7 @@ impl Engine {
     ) -> Result<KernelProfile, ExecError> {
         nd.validate()
             .map_err(|m| ExecError { message: m, span: ck.span() })?;
-        profile::profile_compiled(ck, args, nd, mem, &self.profile_opts())
-    }
-
-    fn profile_opts(&self) -> ExecOptions {
-        ExecOptions { reference_interpreter: self.reference_interpreter, ..ExecOptions::profile() }
-    }
-
-    /// Execute a launch functionally (full interpretation; mutates `mem`).
-    /// Use for correctness validation at laptop-scale problem sizes.
-    pub fn run_functional(&self, spec: LaunchSpec<'_>, mem: &mut Memory) -> Result<(), ExecError> {
-        interp::run_kernel(
-            spec.kernel,
-            spec.args,
-            &spec.nd,
-            mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
+        profile::profile_compiled(ck, args, nd, mem)
     }
 
     /// Simulate the timing of a launch under a DoP configuration and
@@ -261,19 +235,6 @@ impl Engine {
             cpu_faulted: r.cpu_faulted,
             gpu_faulted: r.gpu_faulted,
         }
-    }
-
-    /// Convenience: profile then simulate in one call.
-    pub fn profile_and_simulate(
-        &self,
-        spec: LaunchSpec<'_>,
-        mem: &mut Memory,
-        dop: DopConfig,
-        schedule: Schedule,
-        malleable: bool,
-    ) -> Result<SimReport, ExecError> {
-        let p = self.profile(spec, mem)?;
-        Ok(self.simulate(&p, &spec.nd, dop, schedule, malleable))
     }
 }
 

@@ -11,9 +11,9 @@
 //!
 //! The lowering is trace-exact: for every kernel the VM must emit the same
 //! tracer events (loads, stores, arith counts, scale regions) in the same
-//! order as the tree-walker, which stays available as a reference oracle
-//! behind `ExecOptions::reference_interpreter`. Any deviation is a bug; the
-//! differential suite in `tests/bytecode_equivalence.rs` enforces this.
+//! order as the tree-walker, which survives only as the reference oracle
+//! ([`super::reference`]). Any deviation is a bug; the differential suite
+//! in `tests/bytecode_equivalence.rs` enforces this.
 
 use super::exec::{const_int, split_phases, writes_var, ExecError, ExecResult};
 use clc::{BinOp, Expr, Kernel, Param, Span, Stmt, Type, UnOp};
@@ -341,252 +341,6 @@ impl CompiledKernel {
     pub fn num_insns(&self) -> usize {
         self.phases.iter().map(|p| p.code.len()).sum()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Constant folding (malleability guards)
-// ---------------------------------------------------------------------------
-
-/// Compilation options. `const_params` pins listed kernel parameters to
-/// known integer values; the folder then propagates them, folds integer
-/// arithmetic, and eliminates dead branches — in particular the malleable
-/// work-allocation guard `get_local_id(0) % dop_gpu_mod < dop_gpu_alloc`,
-/// which folds to a constant whenever `alloc >= mod` (all lanes active) or
-/// `alloc <= 0` (no lanes active). Folding changes the traced event stream,
-/// so profiling always compiles without options.
-#[derive(Debug, Clone, Default)]
-pub struct CompileOptions {
-    pub const_params: Vec<(String, i64)>,
-}
-
-/// Does any statement declare a variable with this name (which would shadow
-/// a constant parameter)?
-fn shadows(stmt: &Stmt, name: &str) -> bool {
-    match stmt {
-        Stmt::Decl(d) => d.name == name,
-        Stmt::If { then, els, .. } => {
-            shadows(then, name) || els.as_deref().is_some_and(|s| shadows(s, name))
-        }
-        Stmt::For { init, body, .. } => {
-            init.as_deref().is_some_and(|s| shadows(s, name)) || shadows(body, name)
-        }
-        Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => shadows(body, name),
-        Stmt::Block { stmts, .. } => stmts.iter().any(|s| shadows(s, name)),
-        _ => false,
-    }
-}
-
-/// Is this expression certainly non-negative and side-effect free? (Used by
-/// the guard rule: `x % m` with `x >= 0, m > 0` lies in `[0, m)`.)
-fn nonneg_pure(e: &Expr) -> bool {
-    match e {
-        Expr::IntLit { value, .. } => *value >= 0,
-        Expr::Call { name, args, .. } => {
-            name.starts_with("get_") && args.iter().all(|a| matches!(a, Expr::IntLit { .. }))
-        }
-        _ => false,
-    }
-}
-
-fn fold_stmt(stmt: Stmt, consts: &[(String, i64)]) -> Stmt {
-    let fe = |e: Expr| fold_expr(e, consts);
-    match stmt {
-        Stmt::Decl(mut d) => {
-            d.init = d.init.map(fe);
-            Stmt::Decl(d)
-        }
-        Stmt::Expr(e) => Stmt::Expr(fe(e)),
-        Stmt::If { cond, then, els, span } => {
-            let cond = fe(cond);
-            if let Expr::IntLit { value, .. } = cond {
-                // Dead-branch elimination: keep only the taken branch,
-                // wrapped in a block to preserve its scope.
-                let taken = if value != 0 {
-                    Some(then)
-                } else {
-                    els
-                };
-                return match taken {
-                    Some(s) => Stmt::Block { stmts: vec![fold_stmt(*s, consts)], span },
-                    None => Stmt::Block { stmts: Vec::new(), span },
-                };
-            }
-            Stmt::If {
-                cond,
-                then: Box::new(fold_stmt(*then, consts)),
-                els: els.map(|s| Box::new(fold_stmt(*s, consts))),
-                span,
-            }
-        }
-        Stmt::For { init, cond, step, body, span } => Stmt::For {
-            init: init.map(|s| Box::new(fold_stmt(*s, consts))),
-            cond: cond.map(fe),
-            step: step.map(fe),
-            body: Box::new(fold_stmt(*body, consts)),
-            span,
-        },
-        Stmt::While { cond, body, span } => {
-            let cond = fe(cond);
-            if matches!(cond, Expr::IntLit { value: 0, .. }) {
-                return Stmt::Block { stmts: Vec::new(), span };
-            }
-            Stmt::While { cond, body: Box::new(fold_stmt(*body, consts)), span }
-        }
-        Stmt::DoWhile { body, cond, span } => Stmt::DoWhile {
-            body: Box::new(fold_stmt(*body, consts)),
-            cond: fe(cond),
-            span,
-        },
-        Stmt::Block { stmts, span } => Stmt::Block {
-            stmts: stmts.into_iter().map(|s| fold_stmt(s, consts)).collect(),
-            span,
-        },
-        Stmt::Return { value, span } => Stmt::Return { value: value.map(fe), span },
-        s @ (Stmt::Break { .. } | Stmt::Continue { .. }) => s,
-    }
-}
-
-fn fold_expr(e: Expr, consts: &[(String, i64)]) -> Expr {
-    match e {
-        Expr::Ident { ref name, span } => {
-            match consts.iter().find(|(n, _)| n == name) {
-                Some(&(_, v)) => Expr::IntLit { value: v, span },
-                None => e,
-            }
-        }
-        Expr::Unary { op, operand, span } => {
-            let operand = Box::new(fold_expr(*operand, consts));
-            if let Expr::IntLit { value, .. } = *operand {
-                let v = match op {
-                    UnOp::Neg => value.wrapping_neg(),
-                    UnOp::Not => (value == 0) as i64,
-                    UnOp::BitNot => !value,
-                };
-                return Expr::IntLit { value: v, span };
-            }
-            Expr::Unary { op, operand, span }
-        }
-        Expr::Binary { op, lhs, rhs, span } => {
-            let lhs = Box::new(fold_expr(*lhs, consts));
-            let rhs = Box::new(fold_expr(*rhs, consts));
-            // Malleability-guard rule: `(x % m) < a` with `x` non-negative
-            // and `m > 0` is constant when `a >= m` (always true) or
-            // `a <= 0` (always false).
-            if op == BinOp::Lt {
-                if let (
-                    Expr::Binary { op: BinOp::Rem, lhs: x, rhs: m, .. },
-                    Expr::IntLit { value: a, .. },
-                ) = (lhs.as_ref(), rhs.as_ref())
-                {
-                    if let Expr::IntLit { value: m, .. } = m.as_ref() {
-                        if *m > 0 && nonneg_pure(x) {
-                            if *a >= *m {
-                                return Expr::IntLit { value: 1, span };
-                            }
-                            if *a <= 0 {
-                                return Expr::IntLit { value: 0, span };
-                            }
-                        }
-                    }
-                }
-            }
-            if let (Expr::IntLit { value: a, .. }, Expr::IntLit { value: b, .. }) =
-                (lhs.as_ref(), rhs.as_ref())
-            {
-                let (a, b) = (*a, *b);
-                let v = match op {
-                    BinOp::Add => Some(a.wrapping_add(b)),
-                    BinOp::Sub => Some(a.wrapping_sub(b)),
-                    BinOp::Mul => Some(a.wrapping_mul(b)),
-                    // Division by zero stays unfolded: it must keep erroring
-                    // at run time, same as the interpreter.
-                    BinOp::Div if b != 0 => Some(a.wrapping_div(b)),
-                    BinOp::Rem if b != 0 => Some(a.wrapping_rem(b)),
-                    BinOp::Shl => Some(a.wrapping_shl(b as u32)),
-                    BinOp::Shr => Some(a.wrapping_shr(b as u32)),
-                    BinOp::BitAnd => Some(a & b),
-                    BinOp::BitOr => Some(a | b),
-                    BinOp::BitXor => Some(a ^ b),
-                    BinOp::Lt => Some((a < b) as i64),
-                    BinOp::Gt => Some((a > b) as i64),
-                    BinOp::Le => Some((a <= b) as i64),
-                    BinOp::Ge => Some((a >= b) as i64),
-                    BinOp::Eq => Some((a == b) as i64),
-                    BinOp::Ne => Some((a != b) as i64),
-                    BinOp::And => Some((a != 0 && b != 0) as i64),
-                    BinOp::Or => Some((a != 0 || b != 0) as i64),
-                    _ => None,
-                };
-                if let Some(v) = v {
-                    return Expr::IntLit { value: v, span };
-                }
-            }
-            Expr::Binary { op, lhs, rhs, span }
-        }
-        Expr::Assign { op, target, value, span } => Expr::Assign {
-            op,
-            target: Box::new(fold_expr(*target, consts)),
-            value: Box::new(fold_expr(*value, consts)),
-            span,
-        },
-        Expr::IncDec { inc, pre, target, span } => Expr::IncDec {
-            inc,
-            pre,
-            target: Box::new(fold_expr(*target, consts)),
-            span,
-        },
-        Expr::Call { name, args, span } => Expr::Call {
-            name,
-            args: args.into_iter().map(|a| fold_expr(a, consts)).collect(),
-            span,
-        },
-        Expr::Index { base, index, span } => Expr::Index {
-            base: Box::new(fold_expr(*base, consts)),
-            index: Box::new(fold_expr(*index, consts)),
-            span,
-        },
-        Expr::Cast { to, operand, span } => Expr::Cast {
-            to,
-            operand: Box::new(fold_expr(*operand, consts)),
-            span,
-        },
-        Expr::Ternary { cond, then, els, span } => {
-            let cond = fold_expr(*cond, consts);
-            if let Expr::IntLit { value, .. } = cond {
-                return if value != 0 {
-                    fold_expr(*then, consts)
-                } else {
-                    fold_expr(*els, consts)
-                };
-            }
-            Expr::Ternary {
-                cond: Box::new(cond),
-                then: Box::new(fold_expr(*then, consts)),
-                els: Box::new(fold_expr(*els, consts)),
-                span,
-            }
-        }
-        e @ (Expr::IntLit { .. } | Expr::FloatLit { .. } | Expr::BoolLit { .. }) => e,
-    }
-}
-
-/// Fold a kernel under pinned parameter values. Parameters that are written
-/// or shadowed anywhere in the body are left symbolic.
-fn fold_kernel(kernel: &Kernel, opts: &CompileOptions) -> Kernel {
-    let usable: Vec<(String, i64)> = opts
-        .const_params
-        .iter()
-        .filter(|(n, _)| {
-            kernel.params.iter().any(|p| p.name == *n && !p.ty.is_pointer())
-                && !kernel.body.iter().any(|s| writes_var(s, n) || shadows(s, n))
-        })
-        .cloned()
-        .collect();
-    let mut k = kernel.clone();
-    if !usable.is_empty() {
-        k.body = k.body.into_iter().map(|s| fold_stmt(s, &usable)).collect();
-    }
-    k
 }
 
 // ---------------------------------------------------------------------------
@@ -1526,26 +1280,9 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
     })
 }
 
-/// Compile with options: pinned parameters are constant-folded first (see
-/// [`CompileOptions`]). Site ids then refer to the folded tree, so this
-/// variant is for functional execution, not differential profiling.
-pub fn compile_kernel_with(
-    kernel: &Kernel,
-    opts: &CompileOptions,
-) -> Result<CompiledKernel, ExecError> {
-    if opts.const_params.is_empty() {
-        return compile_kernel(kernel);
-    }
-    let folded = fold_kernel(kernel, opts);
-    compile_kernel(&folded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{ArgValue, Memory};
-    use crate::interp::{vm, ExecOptions, NullTracer};
-    use crate::ndrange::NdRange;
 
     /// The malleable work-allocation guard, verbatim from the transform.
     const GUARDED_SRC: &str = "
@@ -1557,108 +1294,6 @@ mod tests {
 
     fn kernel_of(src: &str) -> Kernel {
         clc::compile(src).unwrap().kernels.remove(0)
-    }
-
-    fn pinned(m: i64, a: i64) -> CompileOptions {
-        CompileOptions {
-            const_params: vec![
-                ("dop_gpu_mod".to_string(), m),
-                ("dop_gpu_alloc".to_string(), a),
-            ],
-        }
-    }
-
-    fn has_rem(ck: &CompiledKernel) -> bool {
-        ck.phases.iter().any(|p| {
-            p.code
-                .iter()
-                .any(|i| matches!(i, Insn::Binary { op: BinOp::Rem, .. }))
-        })
-    }
-
-    fn has_store(ck: &CompiledKernel) -> bool {
-        ck.phases.iter().any(|p| p.code.iter().any(|i| matches!(i, Insn::Store { .. })))
-    }
-
-    #[test]
-    fn guard_folds_away_when_all_lanes_active() {
-        let k = kernel_of(GUARDED_SRC);
-        let unfolded = compile_kernel(&k).unwrap();
-        let folded = compile_kernel_with(&k, &pinned(8, 8)).unwrap();
-        // `alloc >= mod`: the guard is constant-true, so the `%` compare and
-        // the branch disappear but the store stays.
-        assert!(has_rem(&unfolded));
-        assert!(!has_rem(&folded));
-        assert!(has_store(&folded));
-        assert!(folded.num_insns() < unfolded.num_insns());
-    }
-
-    #[test]
-    fn guard_dead_branch_eliminated_when_no_lanes_active() {
-        let k = kernel_of(GUARDED_SRC);
-        let folded = compile_kernel_with(&k, &pinned(8, 0)).unwrap();
-        // `alloc <= 0`: constant-false, the whole guarded body is dead.
-        assert!(!has_rem(&folded));
-        assert!(!has_store(&folded));
-    }
-
-    #[test]
-    fn partial_guard_stays_dynamic() {
-        let k = kernel_of(GUARDED_SRC);
-        let folded = compile_kernel_with(&k, &pinned(8, 3)).unwrap();
-        // `0 < alloc < mod` really depends on the lane id: nothing to fold.
-        assert!(has_rem(&folded));
-        assert!(has_store(&folded));
-    }
-
-    #[test]
-    fn folded_kernel_is_functionally_identical() {
-        let k = kernel_of(GUARDED_SRC);
-        let nd = NdRange::d1(32, 8);
-        let opts = ExecOptions::default();
-        let run = |ck: &CompiledKernel, args: &[ArgValue], mem: &mut Memory| {
-            vm::run_kernel(ck, args, &nd, mem, &opts, &mut NullTracer).unwrap();
-        };
-        for (m, a) in [(8i64, 8i64), (8, 0), (8, 3)] {
-            let unfolded = compile_kernel(&k).unwrap();
-            let folded = compile_kernel_with(&k, &pinned(m, a)).unwrap();
-            let mut mem_u = Memory::new();
-            let buf_u = mem_u.alloc_i32(vec![0; 32]);
-            let args_u =
-                vec![ArgValue::Buffer(buf_u), ArgValue::Int(m), ArgValue::Int(a)];
-            run(&unfolded, &args_u, &mut mem_u);
-            let mut mem_f = Memory::new();
-            let buf_f = mem_f.alloc_i32(vec![0; 32]);
-            let args_f =
-                vec![ArgValue::Buffer(buf_f), ArgValue::Int(m), ArgValue::Int(a)];
-            run(&folded, &args_f, &mut mem_f);
-            assert_eq!(
-                mem_u.read_i32(buf_u),
-                mem_f.read_i32(buf_f),
-                "folded/unfolded disagree at mod={} alloc={}",
-                m,
-                a
-            );
-        }
-    }
-
-    #[test]
-    fn guard_not_folded_when_param_shadowed() {
-        let k = kernel_of(
-            "__kernel void shadowed(__global int* out, int dop_gpu_mod, int dop_gpu_alloc) {
-                int dop_gpu_alloc2 = 0;
-                {
-                    int dop_gpu_mod = 4;
-                    if (get_local_id(0) % dop_gpu_mod < dop_gpu_alloc) {
-                        out[get_global_id(0)] = 1;
-                    }
-                }
-            }",
-        );
-        // `dop_gpu_mod` is re-declared in an inner scope, so pinning the
-        // parameter must not rewrite uses of the shadowing local.
-        let folded = compile_kernel_with(&k, &pinned(8, 8)).unwrap();
-        assert!(has_rem(&folded));
     }
 
     #[test]

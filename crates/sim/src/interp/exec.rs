@@ -1,4 +1,7 @@
-//! The tree-walking evaluator.
+//! The tree-walking evaluator: the reference oracle the bytecode VM is
+//! held to by the differential suite. No production path runs it; it is
+//! reachable only through [`crate::interp::reference`] and
+//! [`crate::profile::profile_reference`].
 //!
 //! See the module docs of [`crate::interp`] for the execution model. The
 //! evaluator is generic over a [`Tracer`] so the functional path pays no
@@ -6,7 +9,7 @@
 
 use super::compile::SiteTable;
 use super::tracer::Tracer;
-use super::Value;
+use super::{Value, PROFILE_LOOP_SAMPLES};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
 use clc::{AssignOp, BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
@@ -21,31 +24,6 @@ pub enum Mode {
     /// Sampling/profiling execution: global stores suppressed, analyzable
     /// loops extrapolated.
     Profile,
-}
-
-/// Interpreter options.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    pub mode: Mode,
-    /// In profile mode, how many iterations of an analyzable loop are
-    /// executed before extrapolating the remainder.
-    pub profile_loop_samples: usize,
-    /// Profile with the tree-walking reference interpreter instead of the
-    /// bytecode VM. The two are kept trace-for-trace identical by the
-    /// differential suite; the tree-walker survives as the oracle.
-    pub reference_interpreter: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { mode: Mode::Full, profile_loop_samples: 4, reference_interpreter: false }
-    }
-}
-
-impl ExecOptions {
-    pub fn profile() -> Self {
-        ExecOptions { mode: Mode::Profile, ..Default::default() }
-    }
 }
 
 /// Runtime error (out-of-bounds access, division by zero, unsupported
@@ -208,13 +186,13 @@ pub(super) fn split_phases(body: &[Stmt], kernel_span: Span) -> ExecResult<Vec<&
 }
 
 /// Execute one entire work-group (all its work-items, phase by phase).
-pub fn run_work_group<T: Tracer>(
+fn run_work_group<T: Tracer>(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
     group_linear: usize,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let phases = split_phases(&kernel.body, kernel.span)?;
@@ -240,7 +218,7 @@ pub fn run_work_group<T: Tracer>(
             let mut interp = Interp {
                 mem,
                 tracer,
-                opts,
+                mode,
                 sites: &sites,
                 locals: &mut locals,
                 item,
@@ -275,12 +253,12 @@ pub fn run_kernel<T: Tracer>(
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     nd.validate().map_err(|m| ExecError::new(m, kernel.span))?;
     for g in 0..nd.num_groups() {
-        run_work_group(kernel, args, nd, g, mem, opts, tracer)?;
+        run_work_group(kernel, args, nd, g, mem, mode, tracer)?;
     }
     Ok(())
 }
@@ -294,7 +272,7 @@ pub fn run_single_items<T: Tracer>(
     nd: &NdRange,
     global_ids: &[usize],
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let phases = split_phases(&kernel.body, kernel.span)?;
@@ -332,7 +310,7 @@ pub fn run_single_items<T: Tracer>(
         let mut interp = Interp {
             mem,
             tracer,
-            opts,
+            mode,
             sites: &sites,
             locals: &mut locals,
             item: &mut item,
@@ -353,7 +331,7 @@ pub fn run_single_items<T: Tracer>(
 struct Interp<'a, T: Tracer> {
     mem: &'a mut Memory,
     tracer: &'a mut T,
-    opts: &'a ExecOptions,
+    mode: Mode,
     sites: &'a SiteTable,
     locals: &'a mut Locals,
     item: &'a mut ItemState,
@@ -538,7 +516,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
         }
 
         // Profile-mode extrapolation for analyzable loops.
-        if self.opts.mode == Mode::Profile {
+        if self.mode == Mode::Profile {
             if let (Some(cond), Some(step)) = (cond, step) {
                 if let Some(plan) = self.analyze_loop(init.as_deref(), cond, step, body)? {
                     let flow = self.run_extrapolated(&plan, cond, step, body)?;
@@ -688,7 +666,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
         step: &Expr,
         body: &Stmt,
     ) -> ExecResult<Flow> {
-        let samples = self.opts.profile_loop_samples.max(1) as u64;
+        let samples = PROFILE_LOOP_SAMPLES as u64;
         if plan.trips <= samples * 2 {
             // Short loop: run all iterations, no extrapolation.
             for _ in 0..plan.trips {
@@ -908,7 +886,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
                             ));
                         }
                         self.tracer.store(site, buf, i, elem.size_bytes());
-                        if self.opts.mode == Mode::Full {
+                        if self.mode == Mode::Full {
                             let b = self.mem.get_mut(buf);
                             if elem.is_float() {
                                 b.store_f64(i as usize, value.as_f32() as f64);
@@ -1280,7 +1258,7 @@ mod tests {
 
     fn run(src: &str, args: &[ArgValue], nd: NdRange, mem: &mut Memory) {
         let k = compile1(src);
-        run_kernel(&k, args, &nd, mem, &ExecOptions::default(), &mut NullTracer).unwrap();
+        run_kernel(&k, args, &nd, mem, Mode::Full, &mut NullTracer).unwrap();
     }
 
     #[test]
@@ -1392,7 +1370,7 @@ mod tests {
             &[],
             &NdRange::d1(4, 4),
             &mut mem,
-            &ExecOptions::default(),
+            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1411,7 +1389,7 @@ mod tests {
             &[ArgValue::Buffer(a)],
             &NdRange::d1(4, 2),
             &mut mem,
-            &ExecOptions::default(),
+            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1427,7 +1405,7 @@ mod tests {
             &[ArgValue::Int(1), ArgValue::Int(0)],
             &NdRange::d1(1, 1),
             &mut mem,
-            &ExecOptions::default(),
+            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1443,7 +1421,7 @@ mod tests {
             &[],
             &NdRange::d1(1, 1),
             &mut mem,
-            &ExecOptions::default(),
+            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1462,7 +1440,7 @@ mod tests {
             &NdRange::d1(4, 4),
             &[0, 1],
             &mut mem,
-            &ExecOptions::profile(),
+            Mode::Profile,
             &mut t,
         )
         .unwrap();
@@ -1489,7 +1467,7 @@ mod tests {
             &NdRange::d1(1, 1),
             &[0],
             &mut mem,
-            &ExecOptions::profile(),
+            Mode::Profile,
             &mut t,
         )
         .unwrap();
@@ -1513,14 +1491,13 @@ mod tests {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![1.0; 8]);
             let mut t = TracingTracer::new();
-            let opts = ExecOptions { mode, ..ExecOptions::default() };
             run_single_items(
                 &k,
                 &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(8)],
                 &nd,
                 &[0],
                 &mut mem,
-                &opts,
+                mode,
                 &mut t,
             )
             .unwrap();
@@ -1551,7 +1528,7 @@ mod tests {
             &NdRange::d1(2, 1),
             &[1],
             &mut mem,
-            &ExecOptions::profile(),
+            Mode::Profile,
             &mut t,
         )
         .unwrap();
@@ -1646,7 +1623,7 @@ mod tests {
             }",
         );
         let nd = NdRange::d1(16, 8).with_offset([32, 0, 0]);
-        run_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem, &ExecOptions::default(), &mut NullTracer)
+        run_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem, Mode::Full, &mut NullTracer)
             .unwrap();
         let out = mem.read_i32(a);
         assert!(out[..32].iter().all(|&v| v == 0));

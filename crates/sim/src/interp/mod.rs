@@ -1,5 +1,10 @@
 //! Functional interpreter for `clc` kernels.
 //!
+//! Kernels are lowered once to flat bytecode ([`compile`]) and executed by
+//! a register VM ([`vm`]); every profile and every functional run goes
+//! through that pair. The original tree-walking evaluator survives only as
+//! the [`reference`] oracle the differential suite compares the VM against.
+//!
 //! Executes OpenCL work-groups the way an integrated device would observe
 //! them: work-items of one group share `__local` memory and synchronize at
 //! top-level `barrier()` calls; all groups share the global
@@ -10,11 +15,11 @@
 //! * [`Mode::Full`] — faithful functional execution. Every work-item of
 //!   every group runs to completion; stores hit memory; atomics are real
 //!   (serialized, which is a legal schedule). Used to validate that Dopia's
-//!   malleable rewrites are semantics-preserving.
+//!   malleable rewrites are semantics-preserving ([`run_functional`]).
 //! * [`Mode::Profile`] — sampling execution for the profiler: stores are
 //!   suppressed and counted, and `for` loops with analyzable induction
-//!   variables run a few iterations and extrapolate the rest (see
-//!   `exec`). Used to characterize paper-scale inputs without paying
+//!   variables run [`PROFILE_LOOP_SAMPLES`] iterations and extrapolate the
+//!   rest. Used to characterize paper-scale inputs without paying
 //!   paper-scale interpretation time.
 //!
 //! Barrier restriction: `barrier()` must appear as a top-level statement of
@@ -30,12 +35,37 @@ mod exec;
 mod tracer;
 pub mod vm;
 
-pub use compile::{compile_kernel, compile_kernel_with, CompileOptions, CompiledKernel, SiteTable};
-pub use exec::{run_kernel, run_single_items, run_work_group, ExecError, ExecOptions, Mode};
+pub use compile::{compile_kernel, CompiledKernel, SiteTable};
+pub use exec::{ExecError, Mode};
 pub use tracer::{NullTracer, SiteKey, SiteStats, Tracer, TracingTracer};
 
-use crate::buffer::BufferId;
-use clc::Scalar;
+use crate::buffer::{ArgValue, BufferId, Memory};
+use crate::ndrange::NdRange;
+use clc::{Kernel, Scalar};
+
+/// In profile mode, how many iterations of an analyzable loop are executed
+/// before the remainder is extrapolated.
+pub const PROFILE_LOOP_SAMPLES: usize = 4;
+
+/// The tree-walking reference interpreter: the oracle the bytecode VM must
+/// match event for event. Only the differential suite and
+/// [`crate::profile::profile_reference`] reach it.
+pub mod reference {
+    pub use super::exec::{run_kernel, run_single_items};
+}
+
+/// Execute the whole NDRange functionally (every group, every item) on the
+/// bytecode VM, lowering `kernel` first. Mutates `mem`; use for
+/// correctness validation at laptop-scale problem sizes.
+pub fn run_functional(
+    kernel: &Kernel,
+    args: &[ArgValue],
+    nd: &NdRange,
+    mem: &mut Memory,
+) -> Result<(), ExecError> {
+    let ck = compile_kernel(kernel)?;
+    vm::run_kernel(&ck, args, nd, mem, Mode::Full, &mut NullTracer)
+}
 
 /// A runtime value. Floats use `f32` to match OpenCL single precision, so
 /// interpreter output is bit-comparable with `f32` reference code.

@@ -4,15 +4,15 @@
 //! Every instruction handler reproduces the corresponding tree-walker
 //! behaviour *exactly* — same tracer events in the same order, same error
 //! messages, same arithmetic (including the shared [`binary_op`] kernel and
-//! the same overflow/panic behaviour on degenerate inputs). The profiler
-//! runs on this VM by default; `ExecOptions::reference_interpreter` switches
-//! back to the tree-walker, and the differential suite in
-//! `tests/bytecode_equivalence.rs` pins the two together.
+//! the same overflow/panic behaviour on degenerate inputs). Every profile
+//! and every functional run executes on this VM; the tree-walker survives
+//! only as the oracle the differential suite in
+//! `tests/bytecode_equivalence.rs` pins it against.
 
 use super::compile::{AtomicFn, CompiledKernel, IdFn, Insn, LocalSpec, Math1Fn, Math2Fn, Phase};
-use super::exec::{bind_args, binary_op, ExecError, ExecOptions, ExecResult, Mode};
+use super::exec::{bind_args, binary_op, ExecError, ExecResult, Mode};
 use super::tracer::Tracer;
-use super::Value;
+use super::{Value, PROFILE_LOOP_SAMPLES};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
 use clc::{BinOp, UnOp};
@@ -21,7 +21,7 @@ use clc::{BinOp, UnOp};
 struct Vm<'a, T: Tracer> {
     mem: &'a mut Memory,
     tracer: &'a mut T,
-    opts: &'a ExecOptions,
+    mode: Mode,
     nd: &'a NdRange,
     gid: [usize; 3],
     lid: [usize; 3],
@@ -95,7 +95,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                     }
                 }
                 Insn::JumpIfFull { to } => {
-                    if self.opts.mode == Mode::Full {
+                    if self.mode == Mode::Full {
                         pc = to as usize;
                         continue;
                     }
@@ -171,7 +171,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                                 ));
                             }
                             self.tracer.store(site, buf, i, elem.size_bytes());
-                            if self.opts.mode == Mode::Full {
+                            if self.mode == Mode::Full {
                                 let b = self.mem.get_mut(buf);
                                 if elem.is_float() {
                                     b.store_f64(i as usize, value.as_f32() as f64);
@@ -401,7 +401,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                         _ => (cur - bnd - delta).div_euclid(-delta).max(0),
                     };
                     let trips = trips as u64;
-                    let samples = self.opts.profile_loop_samples.max(1) as u64;
+                    let samples = PROFILE_LOOP_SAMPLES as u64;
                     if trips <= samples * 2 {
                         // Short loop: run every iteration, no extrapolation.
                         regs[counter as usize] = Value::Int(trips as i64);
@@ -466,13 +466,13 @@ struct Item {
 }
 
 /// Execute one entire work-group (all its work-items, phase by phase).
-pub fn run_work_group<T: Tracer>(
+fn run_work_group<T: Tracer>(
     ck: &CompiledKernel,
     args: &[ArgValue],
     nd: &NdRange,
     group_linear: usize,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let params = bind_args(&ck.name, &ck.params, ck.span, args, mem)?;
@@ -500,7 +500,7 @@ pub fn run_work_group<T: Tracer>(
             let mut vm = Vm {
                 mem,
                 tracer,
-                opts,
+                mode,
                 nd,
                 gid,
                 lid: local,
@@ -523,12 +523,12 @@ pub fn run_kernel<T: Tracer>(
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     nd.validate().map_err(|m| ExecError::new(m, ck.span))?;
     for g in 0..nd.num_groups() {
-        run_work_group(ck, args, nd, g, mem, opts, tracer)?;
+        run_work_group(ck, args, nd, g, mem, mode, tracer)?;
     }
     Ok(())
 }
@@ -542,7 +542,7 @@ pub fn run_single_items<T: Tracer>(
     nd: &NdRange,
     global_ids: &[usize],
     mem: &mut Memory,
-    opts: &ExecOptions,
+    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     if ck.phases.len() > 1 {
@@ -587,7 +587,7 @@ pub fn run_single_items<T: Tracer>(
         let mut vm = Vm {
             mem,
             tracer,
-            opts,
+            mode,
             nd,
             gid,
             lid,

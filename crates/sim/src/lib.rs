@@ -15,9 +15,11 @@
 //!
 //! Three layers:
 //!
-//! * [`interp`] — a functional interpreter of `clc` kernels (work-groups,
-//!   barriers, local memory, atomics). Used for correctness: validating that
-//!   Dopia's malleable rewrites compute the same result as the original.
+//! * [`interp`] — a bytecode compiler and register VM for `clc` kernels
+//!   (work-groups, barriers, local memory, atomics). Used for correctness
+//!   (validating that Dopia's malleable rewrites compute the same result as
+//!   the original) and, in profile mode, by the profiler. A tree-walking
+//!   reference interpreter is kept as the VM's oracle.
 //! * [`profile`] — a sampling profiler that interprets a handful of
 //!   work-items and derives per-work-item operation counts, per-site memory
 //!   access patterns (intra-item and cross-item strides), footprints and
@@ -44,7 +46,7 @@ pub mod profile;
 pub use buffer::{ArgValue, Buffer, BufferId, Memory};
 pub use engine::{Engine, LaunchSpec, Schedule, SimReport};
 pub use fault::{CoreSlowdown, CoreStall, FaultPlan};
-pub use interp::{compile_kernel, compile_kernel_with, CompileOptions, CompiledKernel};
+pub use interp::{compile_kernel, CompiledKernel};
 pub use ndrange::NdRange;
 pub use platform::{CpuConfig, GpuConfig, MemConfig, PlatformConfig};
 pub use profile::{AccessClass, KernelProfile};

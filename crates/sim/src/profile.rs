@@ -18,8 +18,8 @@
 
 use crate::buffer::{ArgValue, Memory};
 use crate::interp::{
-    compile_kernel, run_single_items, vm, CompiledKernel, ExecError, ExecOptions, SiteKey,
-    SiteStats, TracingTracer,
+    compile_kernel, reference, vm, CompiledKernel, ExecError, Mode, SiteKey, SiteStats,
+    TracingTracer,
 };
 use crate::ndrange::NdRange;
 use clc::Kernel;
@@ -160,47 +160,15 @@ fn sample_ids(total: usize) -> Vec<usize> {
 
 /// Profile `kernel` for the given launch geometry by interpreting sampled
 /// work-items. The kernel must be barrier-free (original, untransformed
-/// kernels always are). Compiles to bytecode and runs the VM; use
-/// [`profile_kernel_with`] to pick options (including the tree-walking
-/// reference interpreter), or [`profile_compiled`] to reuse a cached
-/// [`CompiledKernel`].
+/// kernels always are). Lowers the kernel to bytecode and runs the VM; use
+/// [`profile_compiled`] to reuse a cached [`CompiledKernel`].
 pub fn profile_kernel(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_kernel_with(kernel, args, nd, mem, &ExecOptions::profile())
-}
-
-/// Profile with explicit options. `opts.reference_interpreter` selects the
-/// tree-walking oracle; otherwise the kernel is compiled (once, here) and
-/// profiled on the bytecode VM.
-pub fn profile_kernel_with(
-    kernel: &Kernel,
-    args: &[ArgValue],
-    nd: &NdRange,
-    mem: &mut Memory,
-    opts: &ExecOptions,
-) -> Result<KernelProfile, ExecError> {
-    if !opts.reference_interpreter {
-        // A kernel the bytecode compiler rejects (e.g. register-file
-        // overflow) degrades to the tree-walker instead of failing the
-        // launch — the two engines are observationally equivalent.
-        if let Ok(ck) = compile_kernel(kernel) {
-            return profile_compiled(&ck, args, nd, mem, opts);
-        }
-    }
-    let ids = sample_ids(nd.global_size());
-    // One tracer per item so per-item counts and cross-item deltas can be
-    // compared; dense site ids are shared across runs.
-    let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
-    for &id in &ids {
-        let mut t = TracingTracer::new();
-        run_single_items(kernel, args, nd, &[id], mem, opts, &mut t)?;
-        tracers.push(t);
-    }
-    Ok(aggregate(&ids, &tracers, mem))
+    profile_compiled(&compile_kernel(kernel)?, args, nd, mem)
 }
 
 /// Profile a pre-compiled kernel on the bytecode VM: the hot path for cold
@@ -210,13 +178,39 @@ pub fn profile_compiled(
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    opts: &ExecOptions,
+) -> Result<KernelProfile, ExecError> {
+    profile_sampled(nd, mem, |id, mem, t| {
+        vm::run_single_items(ck, args, nd, &[id], mem, Mode::Profile, t)
+    })
+}
+
+/// [`profile_kernel`] on the tree-walking reference interpreter. The
+/// oracle for the differential suite and the baseline of the cold-profile
+/// speed floor; no production path calls it.
+pub fn profile_reference(
+    kernel: &Kernel,
+    args: &[ArgValue],
+    nd: &NdRange,
+    mem: &mut Memory,
+) -> Result<KernelProfile, ExecError> {
+    profile_sampled(nd, mem, |id, mem, t| {
+        reference::run_single_items(kernel, args, nd, &[id], mem, Mode::Profile, t)
+    })
+}
+
+/// Run each sampled work-item under its own tracer, so per-item counts and
+/// cross-item deltas can be compared (dense site ids are shared across
+/// runs), and aggregate the records.
+fn profile_sampled(
+    nd: &NdRange,
+    mem: &mut Memory,
+    mut run_item: impl FnMut(usize, &mut Memory, &mut TracingTracer) -> Result<(), ExecError>,
 ) -> Result<KernelProfile, ExecError> {
     let ids = sample_ids(nd.global_size());
     let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let mut t = TracingTracer::new();
-        vm::run_single_items(ck, args, nd, &[id], mem, opts, &mut t)?;
+        run_item(id, mem, &mut t)?;
         tracers.push(t);
     }
     Ok(aggregate(&ids, &tracers, mem))

@@ -10,10 +10,8 @@
 //! synthetic kernels.
 
 use proptest::prelude::*;
-use sim::interp::{
-    self, compile_kernel, vm, ExecOptions, Mode, SiteKey, Tracer,
-};
-use sim::profile::profile_kernel_with;
+use sim::interp::{compile_kernel, reference, vm, Mode, SiteKey, Tracer};
+use sim::profile::{profile_kernel, profile_reference};
 use sim::{ArgValue, BufferId, Memory, NdRange};
 
 // ---------------------------------------------------------------------------
@@ -110,11 +108,6 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
         // Profile mode over sampled items (the profiler's exact call shape),
         // then Full mode over the whole NDRange.
         for mode in [Mode::Profile, Mode::Full] {
-            let opts = ExecOptions {
-                mode,
-                profile_loop_samples: 4,
-                reference_interpreter: false,
-            };
             let mut mem_ref = Memory::new();
             let args_ref = bind(kernel, n, &mut mem_ref);
             let mut mem_vm = Memory::new();
@@ -128,15 +121,15 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
                 }
                 let ids = sample_ids(nd.global_size());
                 (
-                    interp::run_single_items(
-                        kernel, &args_ref, &nd, &ids, &mut mem_ref, &opts, &mut t_ref,
+                    reference::run_single_items(
+                        kernel, &args_ref, &nd, &ids, &mut mem_ref, mode, &mut t_ref,
                     ),
-                    vm::run_single_items(&ck, &args_vm, &nd, &ids, &mut mem_vm, &opts, &mut t_vm),
+                    vm::run_single_items(&ck, &args_vm, &nd, &ids, &mut mem_vm, mode, &mut t_vm),
                 )
             } else {
                 (
-                    interp::run_kernel(kernel, &args_ref, &nd, &mut mem_ref, &opts, &mut t_ref),
-                    vm::run_kernel(&ck, &args_vm, &nd, &mut mem_vm, &opts, &mut t_vm),
+                    reference::run_kernel(kernel, &args_ref, &nd, &mut mem_ref, mode, &mut t_ref),
+                    vm::run_kernel(&ck, &args_vm, &nd, &mut mem_vm, mode, &mut t_vm),
                 )
             };
 
@@ -163,17 +156,15 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
             );
         }
 
-        // Aggregated profiles, through the public profiling entry point with
-        // `reference_interpreter` both on and off.
+        // Aggregated profiles, through the public profiling entry points of
+        // both engines.
         if barrier_free {
             let mut mem_ref = Memory::new();
             let args_ref = bind(kernel, n, &mut mem_ref);
             let mut mem_vm = Memory::new();
             let args_vm = bind(kernel, n, &mut mem_vm);
-            let reference = ExecOptions { reference_interpreter: true, ..ExecOptions::profile() };
-            let p_ref = profile_kernel_with(kernel, &args_ref, &nd, &mut mem_ref, &reference);
-            let p_vm =
-                profile_kernel_with(kernel, &args_vm, &nd, &mut mem_vm, &ExecOptions::profile());
+            let p_ref = profile_reference(kernel, &args_ref, &nd, &mut mem_ref);
+            let p_vm = profile_kernel(kernel, &args_vm, &nd, &mut mem_vm);
             match (p_ref, p_vm) {
                 (Ok(a), Ok(b)) => assert_profiles_equal(&a, &b, ctx),
                 (Err(a), Err(b)) => assert_eq!(a, b, "{}: profile errors diverge", ctx),

@@ -106,7 +106,7 @@ pub fn ref_step(graph: &Csr, rank: &[f32], deg: &[i32], damping: f32) -> Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::run_functional;
 
     #[test]
     fn one_step_matches_reference() {
@@ -116,15 +116,7 @@ mod tests {
         let inst = instance(&mut mem, &graph, 32);
         let rank0 = mem.read_f32(inst.rank).to_vec();
         let deg = mem.read_i32(inst.built.args[3].as_buffer().unwrap()).to_vec();
-        run_kernel(
-            &inst.built.kernel,
-            &inst.built.args,
-            &inst.built.nd,
-            &mut mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
-        .unwrap();
+        run_functional(&inst.built.kernel, &inst.built.args, &inst.built.nd, &mut mem).unwrap();
         let expect = ref_step(&graph, &rank0, &deg, 0.85);
         let next = mem.read_f32(inst.next);
         for (i, (a, e)) in next.iter().zip(&expect).enumerate() {
@@ -141,15 +133,7 @@ mod tests {
         let mut mem = Memory::new();
         let mut inst = instance(&mut mem, &graph, 40);
         for _ in 0..3 {
-            run_kernel(
-                &inst.built.kernel,
-                &inst.built.args,
-                &inst.built.nd,
-                &mut mem,
-                &ExecOptions::default(),
-                &mut NullTracer,
-            )
-            .unwrap();
+            run_functional(&inst.built.kernel, &inst.built.args, &inst.built.nd, &mut mem).unwrap();
             swap_buffers(&mut inst);
         }
         let total: f32 = mem.read_f32(inst.rank).iter().sum();

@@ -442,10 +442,10 @@ pub fn ref_conv2d(a: &[f32], b0: &[f32], n: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::run_functional;
 
     fn run(b: &BuiltKernel, mem: &mut Memory) {
-        run_kernel(&b.kernel, &b.args, &b.nd, mem, &ExecOptions::default(), &mut NullTracer)
+        run_functional(&b.kernel, &b.args, &b.nd, mem)
             .unwrap_or_else(|e| panic!("{}: {}", b.name, e));
     }
 

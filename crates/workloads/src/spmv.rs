@@ -69,7 +69,7 @@ pub fn ref_spmv(m: &Csr, x: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::run_functional;
 
     #[test]
     fn spmv_matches_reference() {
@@ -77,15 +77,7 @@ mod tests {
         let m = data::random_csr(rows, 8, 42);
         let mut mem = Memory::new();
         let built = build_from_csr(&mut mem, &m, 32);
-        run_kernel(
-            &built.kernel,
-            &built.args,
-            &built.nd,
-            &mut mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
-        .unwrap();
+        run_functional(&built.kernel, &built.args, &built.nd, &mut mem).unwrap();
         // x is args[3], y is args[4].
         let x = mem.read_f32(built.args[3].as_buffer().unwrap()).to_vec();
         let y = mem.read_f32(built.args[4].as_buffer().unwrap());

@@ -371,7 +371,7 @@ pub fn training_grid() -> Vec<SyntheticParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::interp::{run_kernel, ExecOptions, NullTracer};
+    use sim::interp::run_functional;
 
     #[test]
     fn pattern_parsing_round_trips() {
@@ -463,15 +463,7 @@ mod tests {
         args.push(ArgValue::Float(2.0));
         args.push(ArgValue::Float(0.5));
         let built = BuiltKernel::from_source(params.name(), &params.source(), args, params.nd_range());
-        run_kernel(
-            &built.kernel,
-            &built.args,
-            &built.nd,
-            &mut mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
-        .unwrap();
+        run_functional(&built.kernel, &built.args, &built.nd, &mut mem).unwrap();
         // c1*c2*A + c1*c2*B = 1.0*(2+3) = 5.
         assert!(mem.read_f32(out).iter().all(|&v| v == 5.0));
     }

@@ -10,7 +10,7 @@
 use dopia::core::codegen;
 use dopia::core::features::extract_code_features;
 use dopia::prelude::*;
-use sim::interp::{run_kernel, ExecOptions, NullTracer};
+use sim::interp::run_functional;
 
 const MY_KERNEL: &str = r#"
 __kernel void saxpy_strided(__global float* x, __global float* y,
@@ -55,15 +55,7 @@ fn main() {
             ArgValue::Int(stride),
         ];
         args.extend_from_slice(extra);
-        run_kernel(
-            k,
-            &args,
-            &NdRange::d1(n, 64),
-            &mut mem,
-            &ExecOptions::default(),
-            &mut NullTracer,
-        )
-        .expect("functional run succeeds");
+        run_functional(k, &args, &NdRange::d1(n, 64), &mut mem).expect("functional run succeeds");
         mem.read_f32(y).to_vec()
     };
 

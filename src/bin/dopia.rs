@@ -20,6 +20,8 @@
 //! DecisionTree is trained on a sub-grid at startup (a few seconds);
 //! production deployments pass a model from `train_model`.
 
+use dopia::core::codegen;
+use dopia::core::runtime::PreparedKernel;
 use dopia::prelude::*;
 use std::process::ExitCode;
 
@@ -60,11 +62,9 @@ OPTIONS (run):
   --arg name=value     override one kernel argument by parameter name
   -D name[=value]      preprocessor definition (clBuildProgram -D)
   --compare            also report CPU / GPU / ALL baselines and the oracle
-  --show-malleable     print the malleable GPU rewrite
-  --show-cpu           print the generated CPU code
+  --show-malleable     print the malleable GPU rewrite for the launch's NDRange
+  --show-cpu           print the generated CPU code for the launch's NDRange
   --no-launch-cache    disable the enqueue decision cache (profile every launch)
-  --reference-interpreter  profile on the tree-walking reference interpreter
-                       instead of the bytecode VM (slow; for differential checks)
 
 SUPERVISION (run; the self-healing layer is on by default):
   --no-supervision           disable circuit breakers, deadlines and quarantine
@@ -95,7 +95,6 @@ struct Options {
     show_malleable: bool,
     show_cpu: bool,
     no_launch_cache: bool,
-    reference_interpreter: bool,
     no_supervision: bool,
     breaker_threshold: Option<u32>,
     deadline_factor: Option<f64>,
@@ -128,7 +127,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
         show_malleable: false,
         show_cpu: false,
         no_launch_cache: false,
-        reference_interpreter: false,
         no_supervision: false,
         breaker_threshold: None,
         deadline_factor: None,
@@ -168,7 +166,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             "--show-malleable" => opts.show_malleable = true,
             "--show-cpu" => opts.show_cpu = true,
             "--no-launch-cache" => opts.no_launch_cache = true,
-            "--reference-interpreter" => opts.reference_interpreter = true,
             "--no-supervision" => opts.no_supervision = true,
             "--breaker-threshold" => {
                 let n: u32 =
@@ -265,10 +262,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
         Err(e) => return fail(format!("{}: {}", opts.file, e)),
     };
     let engine = match engine_for(&opts.platform) {
-        Ok(mut e) => {
-            e.reference_interpreter = opts.reference_interpreter;
-            e
-        }
+        Ok(e) => e,
         Err(e) => return fail(e),
     };
     let model = match &opts.model {
@@ -322,17 +316,6 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     if let DegradedMode::GpuOriginalOnly { reason } = &prepared.degraded_mode {
         println!("degraded : GPU-original-only ({})", reason);
     }
-    if opts.show_malleable {
-        match &prepared.malleable_1d {
-            Some(k) => {
-                println!("\n--- malleable GPU kernel ---\n{}", clc::printer::print_kernel(k))
-            }
-            None => println!("\n--- malleable GPU kernel ---\n(kernel is degraded: no rewrite)"),
-        }
-    }
-    if opts.show_cpu {
-        println!("\n--- generated CPU code ---\n{}", prepared.cpu_source_1d);
-    }
 
     // NDRange.
     let global = opts.global.clone().unwrap_or_else(|| vec![opts.n]);
@@ -350,6 +333,20 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     };
     if let Err(e) = nd.validate() {
         return fail(e);
+    }
+    if opts.show_malleable {
+        println!(
+            "\n--- malleable GPU kernel ({}-D) ---\n{}",
+            nd.work_dim,
+            malleable_listing(prepared, nd.work_dim)
+        );
+    }
+    if opts.show_cpu {
+        println!(
+            "\n--- generated CPU code ({}-D) ---\n{}",
+            nd.work_dim,
+            codegen::generate_cpu_source(&prepared.original, nd.work_dim)
+        );
     }
 
     // Auto-bind arguments.
@@ -491,7 +488,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
 /// normalized heatmap plus the model's pick.
 fn print_sweep(
     dopia: &Dopia,
-    prepared: &dopia::core::runtime::PreparedKernel,
+    prepared: &PreparedKernel,
     args: &[ArgValue],
     nd: NdRange,
     mem: &mut Memory,
@@ -589,21 +586,25 @@ fn inspect(argv: &[String]) -> ExitCode {
     for k in &program.kernels {
         println!("=== kernel `{}` ===", k.original.name);
         println!("features: {:?}\n", k.features);
-        match &k.malleable_1d {
-            Some(m) => println!(
-                "--- malleable GPU rewrite (1-D) ---\n{}",
-                clc::printer::print_kernel(m)
-            ),
-            None => match &k.degraded_mode {
-                DegradedMode::GpuOriginalOnly { reason } => {
-                    println!("--- malleable GPU rewrite (1-D) ---\n(degraded: {})", reason)
-                }
-                DegradedMode::FullyManaged => {
-                    println!("--- malleable GPU rewrite (1-D) ---\n(unavailable)")
-                }
-            },
-        }
-        println!("--- generated CPU code (1-D) ---\n{}", k.cpu_source_1d);
+        println!("--- malleable GPU rewrite (1-D) ---\n{}", malleable_listing(k, 1));
+        println!(
+            "--- generated CPU code (1-D) ---\n{}",
+            codegen::generate_cpu_source(&k.original, 1)
+        );
     }
     ExitCode::SUCCESS
+}
+
+/// The malleable rewrite of `k` for a `work_dim`-dimensional launch,
+/// generated on demand and printed as OpenCL-C, or why the kernel is
+/// degraded instead.
+fn malleable_listing(k: &PreparedKernel, work_dim: usize) -> String {
+    let rewrite = match &k.degraded_mode {
+        DegradedMode::GpuOriginalOnly { reason } => return format!("(degraded: {})", reason),
+        DegradedMode::FullyManaged => codegen::transform_malleable(&k.original, work_dim),
+    };
+    match rewrite {
+        Ok(m) => clc::printer::print_kernel(&m),
+        Err(e) => format!("(unavailable: {})", e),
+    }
 }

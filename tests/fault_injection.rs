@@ -159,12 +159,10 @@ fn mixed_program_degrades_only_the_untransformable_kernel() {
     assert_eq!(program.kernels.len(), 2);
 
     let good = program.kernel("gesummv").unwrap();
-    assert!(!good.is_degraded());
-    assert!(good.malleable(1).is_some());
+    assert_eq!(good.degraded_mode, DegradedMode::FullyManaged);
 
     let tricky = program.kernel("tricky").unwrap();
     assert!(tricky.is_degraded());
-    assert!(tricky.malleable(1).is_none());
     assert!(matches!(tricky.degraded_mode, DegradedMode::GpuOriginalOnly { .. }));
 
     // The degraded kernel still launches — GPU only, no model sweep.

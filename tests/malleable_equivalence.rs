@@ -5,7 +5,7 @@
 
 use dopia::core::codegen::transform_malleable;
 use proptest::prelude::*;
-use sim::interp::{run_kernel, ExecOptions, NullTracer};
+use sim::interp::run_functional;
 use sim::{ArgValue, Memory};
 use workloads::synthetic::{DType, SyntheticParams, PATTERN_NAMES};
 
@@ -51,15 +51,8 @@ fn run_and_read(
 ) -> Vec<f32> {
     let (mut mem, mut args, out_idx) = build_real(params, seed);
     args.extend_from_slice(extra);
-    run_kernel(
-        kernel,
-        &args,
-        &params.nd_range(),
-        &mut mem,
-        &ExecOptions::default(),
-        &mut NullTracer,
-    )
-    .unwrap_or_else(|e| panic!("{}: {}", params.name(), e));
+    run_functional(kernel, &args, &params.nd_range(), &mut mem)
+        .unwrap_or_else(|e| panic!("{}: {}", params.name(), e));
     mem.read_f32(sim::BufferId(out_idx)).to_vec()
 }
 
