@@ -1,6 +1,7 @@
 //! Criterion benches of the repo's performance tentpoles: the batched
 //! DES fast path (vs the exact per-agent event loop), the enqueue
-//! decision cache (cold vs warm launch latency), the training-sweep
+//! decision cache (cold vs warm launch latency, and the cache's own hit
+//! and insert costs below and at capacity), the training-sweep
 //! throughput they combine into, and the bytecode-VM profiler against the
 //! tree-walking reference interpreter on a cold (cache-miss) profile.
 //!
@@ -9,6 +10,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dopia_core::cache::CachedDecision;
 use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
@@ -99,6 +101,60 @@ fn bench_enqueue_latency(c: &mut Criterion) {
     group.finish();
 }
 
+/// The decision cache's own cost on a `DEFAULT_CAPACITY` (256) cache:
+/// 256 lookups that hit a full cache, the first 32 inserts into an empty
+/// cache, and 256 inserts into a full one, where every insert evicts its
+/// LRU entry. Inputs are built outside the timed region; filled caches are
+/// dropped outside it.
+fn bench_decision_cache(c: &mut Criterion) {
+    const SAMPLES: usize = 20;
+    let engine = Engine::kaveri();
+    let (profile, _) = profiled_gesummv(&engine, 16384);
+    let decision = CachedDecision { profile, selection: None };
+    let n = DecisionCache::DEFAULT_CAPACITY;
+    // Fill a cache with the launches `first..first + 256`.
+    let fill = |cache: &mut DecisionCache, first: u64| {
+        for (key, decision) in bench_support::distinct_launches(first, n, &decision) {
+            cache.insert(key, decision);
+        }
+    };
+
+    let mut group = c.benchmark_group("decision_cache");
+    group.sample_size(SAMPLES);
+    group.bench_function("hit", |b| {
+        let mut full = DecisionCache::default();
+        fill(&mut full, 0);
+        let keys: Vec<_> =
+            bench_support::distinct_launches(0, n, &decision).into_iter().map(|(k, _)| k).collect();
+        b.iter(|| keys.iter().filter(|k| full.get(k).is_some()).count())
+    });
+    for (label, prefill, inserts) in
+        [("insert_below_capacity", false, 32), ("insert_at_capacity", true, n)]
+    {
+        group.bench_function(label, |b| {
+            // One untimed setup per timed call (the shim runs two warm-ups).
+            let mut runs: Vec<_> = (0..SAMPLES + 2)
+                .map(|_| {
+                    let mut cache = DecisionCache::default();
+                    if prefill {
+                        fill(&mut cache, n as u64);
+                    }
+                    (cache, bench_support::distinct_launches(0, inserts, &decision))
+                })
+                .collect();
+            let mut done = Vec::with_capacity(runs.len());
+            b.iter(|| {
+                let (mut cache, batch) = runs.pop().expect("one setup per timed call");
+                for (key, decision) in batch {
+                    cache.insert(key, decision);
+                }
+                done.push(cache);
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Training-sweep throughput at tiny_training_set scale: the profile cache
 /// plus the DES fast path against the exact, uncached combination.
 /// Workload construction is hoisted out of the timed iterations; the
@@ -186,6 +242,7 @@ criterion_group!(
     benches,
     bench_des_sweep,
     bench_enqueue_latency,
+    bench_decision_cache,
     bench_training_sweep,
     bench_cold_profile
 );

@@ -3,12 +3,15 @@
 //! the DES fast path on vs forced-exact (acceptance floor: ≥ 5×), the
 //! cold-profile cost on the bytecode VM vs the tree-walking reference
 //! interpreter (acceptance floor: ≥ 3×), single enqueue latency cold vs
-//! cache-hit, and the raw 44-config DES sweep.
+//! cache-hit, the raw 44-config DES sweep, and the decision cache's insert
+//! cost into a full cache vs an empty one (acceptance floor: ≤ 4×, so an
+//! evicting insert cannot scan the cache).
 //!
 //! ```sh
 //! cargo run --release -p dopia-bench --bin bench_baseline
 //! ```
 
+use dopia_core::cache::CachedDecision;
 use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
@@ -17,17 +20,51 @@ use sim::profile::profile_reference;
 use sim::{Engine, Memory, Schedule};
 use std::time::Instant;
 
-/// Median-of-`reps` wall time of `f`, in seconds.
-fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
+}
+
+/// Median-of-`reps` wall time of `f`, in seconds.
+fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// Median-of-`reps` wall time per insert into a `DEFAULT_CAPACITY` (256)
+/// decision cache, in seconds: the first 32 inserts into an empty cache,
+/// or 256 inserts into a full one, where every insert evicts. Building the
+/// inputs and dropping the cache stay outside the timed region.
+fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> f64 {
+    let n = DecisionCache::DEFAULT_CAPACITY;
+    let inserts = if full { n } else { 32 };
+    median(
+        (0..reps)
+            .map(|_| {
+                let mut cache = DecisionCache::default();
+                if full {
+                    for (key, decision) in bench_support::distinct_launches(n as u64, n, decision) {
+                        cache.insert(key, decision);
+                    }
+                }
+                let batch = bench_support::distinct_launches(0, inserts, decision);
+                let t0 = Instant::now();
+                for (key, decision) in batch {
+                    cache.insert(key, decision);
+                }
+                let elapsed = t0.elapsed().as_secs_f64();
+                std::hint::black_box(&cache);
+                elapsed / inserts as f64
+            })
+            .collect(),
+    )
 }
 
 /// One full pass over the tiny (72-workload) training grid, timed per
@@ -170,8 +207,20 @@ fn main() {
         stats.misses
     );
 
+    // 5. The decision cache's own insert cost, below and at capacity.
+    let decision = CachedDecision { profile, selection: None };
+    let insert_empty_s = cache_insert_s(&decision, false, 101);
+    let insert_full_s = cache_insert_s(&decision, true, 101);
+    let insert_ratio = insert_full_s / insert_empty_s;
+    println!(
+        "cache insert: empty {:.3}us  full (evicting) {:.3}us  ratio {:.2}x",
+        insert_empty_s * 1e6,
+        insert_full_s * 1e6,
+        insert_ratio
+    );
+
     let json = format!(
-        "{{\n  \"sweep_72x44\": {{\n    \"cached_fast_path_s\": {:.6},\n    \"uncached_exact_des_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"des_44_sweep\": {{\n    \"fast_path_s\": {:.6},\n    \"exact_des_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"interp\": {{\n    \"cold_profile_tree_walker_s\": {:.6},\n    \"cold_profile_vm_s\": {:.6},\n    \"cold_profile_vm_precompiled_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"enqueue\": {{\n    \"cold_s\": {:.6},\n    \"cache_hit_s\": {:.6},\n    \"speedup\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"sweep_72x44\": {{\n    \"cached_fast_path_s\": {:.6},\n    \"uncached_exact_des_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"des_44_sweep\": {{\n    \"fast_path_s\": {:.6},\n    \"exact_des_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"interp\": {{\n    \"cold_profile_tree_walker_s\": {:.6},\n    \"cold_profile_vm_s\": {:.6},\n    \"cold_profile_vm_precompiled_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"enqueue\": {{\n    \"cold_s\": {:.6},\n    \"cache_hit_s\": {:.6},\n    \"speedup\": {:.2}\n  }},\n  \"cache\": {{\n    \"insert_below_capacity_s\": {:.9},\n    \"insert_at_capacity_s\": {:.9},\n    \"ratio\": {:.2}\n  }}\n}}\n",
         sweep_fast_s,
         sweep_exact_s,
         sweep_speedup,
@@ -185,6 +234,9 @@ fn main() {
         enqueue_cold_s,
         enqueue_hit_s,
         enqueue_cold_s / enqueue_hit_s,
+        insert_empty_s,
+        insert_full_s,
+        insert_ratio,
     );
     std::fs::create_dir_all("results").expect("create results/");
     ml::io::atomic_write(std::path::Path::new("results/BENCH_baseline.json"), json.as_bytes())
@@ -199,5 +251,10 @@ fn main() {
         interp_speedup >= 3.0,
         "acceptance: cold-profile VM speedup {:.2}x < 3x",
         interp_speedup
+    );
+    assert!(
+        insert_ratio <= 4.0,
+        "acceptance: cache insert at capacity costs {:.2}x an insert below capacity (> 4x)",
+        insert_ratio
     );
 }

@@ -57,3 +57,32 @@ pub fn results_dir() -> std::path::PathBuf {
 pub fn banner(title: &str) {
     println!("\n=== {} ===", title);
 }
+
+/// `n` distinct launches of one gesummv-shaped signature (kernel ids
+/// `first..first + n`, three buffers and two scalars), each carrying a
+/// copy of `decision`: the inputs of the decision-cache benches.
+pub fn distinct_launches(
+    first: u64,
+    n: usize,
+    decision: &dopia_core::cache::CachedDecision,
+) -> Vec<(dopia_core::LaunchKey, dopia_core::cache::CachedDecision)> {
+    use dopia_core::cache::ArgSig;
+    let buffer = |id| ArgSig::Buffer { id, len: 16384 * 16384, generation: 0 };
+    (first..first + n as u64)
+        .map(|kernel_id| {
+            let key = dopia_core::LaunchKey {
+                kernel_id,
+                code_id: kernel_id,
+                nd: sim::NdRange::d1(16384, 256),
+                args: vec![
+                    buffer(0),
+                    buffer(1),
+                    buffer(2),
+                    ArgSig::Float(1.5f32.to_bits()),
+                    ArgSig::Int(16384),
+                ],
+            };
+            (key, decision.clone())
+        })
+        .collect()
+}

@@ -38,21 +38,9 @@ pub fn transform_malleable(kernel: &Kernel, work_dim: usize) -> Result<Kernel, T
     }
     // Fresh names that cannot collide with user identifiers.
     let used = collect_identifiers(kernel);
-    let fresh = |base: &str| -> String {
-        if !used.contains(&base.to_string()) {
-            return base.to_string();
-        }
-        let mut i = 0;
-        loop {
-            let candidate = format!("{}_{}", base, i);
-            if !used.contains(&candidate) {
-                return candidate;
-            }
-            i += 1;
-        }
-    };
+    let fresh = |base: &str| fresh_name(&used, base);
     let worklist = fresh("local_worklist");
-    let work = fresh("dynamic_work");
+    let work = fresh(WORK_VAR);
     let dop_mod = fresh(MALLEABLE_PARAMS[0]);
     let dop_alloc = fresh(MALLEABLE_PARAMS[1]);
 
@@ -152,6 +140,28 @@ pub fn transform_malleable(kernel: &Kernel, work_dim: usize) -> Result<Kernel, T
         body: new_body,
         span: kernel.span,
     })
+}
+
+/// Check, without building the rewrite, that [`transform_malleable`]
+/// accepts `kernel` for both 1-D and 2-D launches. Returns the error the
+/// 1-D transform would raise: the same post-order walk stops at the same
+/// first work-item query with a non-literal dimension.
+pub fn check_malleable(kernel: &Kernel) -> Result<(), TransformError> {
+    kernel.body.iter().try_for_each(|stmt| check_stmt(stmt, kernel))
+}
+
+/// Base name of the claimed work-id variable.
+const WORK_VAR: &str = "dynamic_work";
+
+/// `base`, or the first `base_<i>` not in `used`.
+fn fresh_name(used: &[String], base: &str) -> String {
+    if !used.iter().any(|u| u == base) {
+        return base.to_string();
+    }
+    (0..)
+        .map(|i| format!("{}_{}", base, i))
+        .find(|candidate| !used.contains(candidate))
+        .expect("some suffix is unused")
 }
 
 /// Map a DoP "eighth" level `k` (0..=8) to the paper's
@@ -271,15 +281,10 @@ fn substitute_expr(expr: &mut Expr, work_dim: usize, work_var: &str) -> Result<(
         _ => {}
     }
     if let Expr::Call { name, args, span } = expr {
-        if name == "get_global_id" || name == "get_local_id" {
+        if is_work_item_query(name) {
             let dim = match args.first() {
                 Some(Expr::IntLit { value, .. }) => *value as usize,
-                other => {
-                    return Err(TransformError(format!(
-                        "{} with non-literal dimension {:?} at {}",
-                        name, other, span
-                    )));
-                }
+                other => return Err(non_literal_dimension(name, other, span)),
             };
             if dim < work_dim {
                 let replacement = if name == "get_global_id" {
@@ -291,6 +296,81 @@ fn substitute_expr(expr: &mut Expr, work_dim: usize, work_var: &str) -> Result<(
             }
             // Dimensions >= work_dim keep their original meaning (they
             // evaluate to the fixed offset/zero as before).
+        }
+    }
+    Ok(())
+}
+
+fn is_work_item_query(name: &str) -> bool {
+    name == "get_global_id" || name == "get_local_id"
+}
+
+fn non_literal_dimension(name: &str, arg: Option<&Expr>, span: &clc::Span) -> TransformError {
+    TransformError(format!("{} with non-literal dimension {:?} at {}", name, arg, span))
+}
+
+/// [`substitute_stmt`]'s walk, read-only.
+fn check_stmt(stmt: &Stmt, kernel: &Kernel) -> Result<(), TransformError> {
+    match stmt {
+        Stmt::Decl(d) => d.init.iter().try_for_each(|init| check_expr(init, kernel)),
+        Stmt::Expr(e) => check_expr(e, kernel),
+        Stmt::If { cond, then, els, .. } => {
+            check_expr(cond, kernel)?;
+            check_stmt(then, kernel)?;
+            els.iter().try_for_each(|els| check_stmt(els, kernel))
+        }
+        Stmt::For { init, cond, step, body, .. } => {
+            init.iter().try_for_each(|init| check_stmt(init, kernel))?;
+            cond.iter().try_for_each(|cond| check_expr(cond, kernel))?;
+            step.iter().try_for_each(|step| check_expr(step, kernel))?;
+            check_stmt(body, kernel)
+        }
+        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
+            check_expr(cond, kernel)?;
+            check_stmt(body, kernel)
+        }
+        Stmt::Block { stmts, .. } => stmts.iter().try_for_each(|s| check_stmt(s, kernel)),
+        Stmt::Return { value, .. } => value.iter().try_for_each(|v| check_expr(v, kernel)),
+        Stmt::Break { .. } | Stmt::Continue { .. } => Ok(()),
+    }
+}
+
+/// [`substitute_expr`]'s walk, read-only.
+fn check_expr(expr: &Expr, kernel: &Kernel) -> Result<(), TransformError> {
+    match expr {
+        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => check_expr(operand, kernel)?,
+        Expr::Binary { lhs, rhs, .. } => {
+            check_expr(lhs, kernel)?;
+            check_expr(rhs, kernel)?;
+        }
+        Expr::Assign { target, value, .. } => {
+            check_expr(target, kernel)?;
+            check_expr(value, kernel)?;
+        }
+        Expr::IncDec { target, .. } => check_expr(target, kernel)?,
+        Expr::Call { args, .. } => args.iter().try_for_each(|a| check_expr(a, kernel))?,
+        Expr::Index { base, index, .. } => {
+            check_expr(base, kernel)?;
+            check_expr(index, kernel)?;
+        }
+        Expr::Ternary { cond, then, els, .. } => {
+            check_expr(cond, kernel)?;
+            check_expr(then, kernel)?;
+            check_expr(els, kernel)?;
+        }
+        _ => {}
+    }
+    if let Expr::Call { name, args, span } = expr {
+        if is_work_item_query(name) && !matches!(args.first(), Some(Expr::IntLit { .. })) {
+            // Rare error path: report the argument as the 1-D transform
+            // sees it, with its nested (literal-dimension) queries already
+            // rewritten.
+            let mut arg = args.first().cloned();
+            if let Some(arg) = &mut arg {
+                let work = fresh_name(&collect_identifiers(kernel), WORK_VAR);
+                substitute_expr(arg, 1, &work)?;
+            }
+            return Err(non_literal_dimension(name, arg.as_ref(), span));
         }
     }
     Ok(())

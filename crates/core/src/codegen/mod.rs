@@ -12,4 +12,4 @@ pub mod cpu;
 pub mod malleable;
 
 pub use cpu::generate_cpu_source;
-pub use malleable::{transform_malleable, MALLEABLE_PARAMS};
+pub use malleable::{check_malleable, transform_malleable, MALLEABLE_PARAMS};

@@ -17,7 +17,7 @@
 //! overhead … is included").
 
 use crate::cache::{CacheStats, CachedDecision, DecisionCache, LaunchKey};
-use crate::codegen::malleable::transform_malleable;
+use crate::codegen::malleable::check_malleable;
 use crate::configs::{config_space, find_config, DopPoint};
 use crate::features::{extract_code_features, CodeFeatures};
 use crate::model::{heuristic_select, PerfModel, Selection};
@@ -30,7 +30,7 @@ use sim::{
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Process-unique id source for [`PreparedKernel`]s (the launch cache keys
@@ -298,18 +298,18 @@ impl Dopia {
     /// (resets breaker and quarantine state; CLI `--no-supervision`,
     /// `--breaker-threshold`, `--deadline-factor`).
     pub fn set_supervision_config(&self, config: SupervisionConfig) {
-        *self.supervisor.lock().unwrap() = Supervisor::new(config);
+        *self.lock_supervisor() = Supervisor::new(config);
     }
 
     /// The active supervision tunables.
     pub fn supervision_config(&self) -> SupervisionConfig {
-        self.supervisor.lock().unwrap().config()
+        self.lock_supervisor().config()
     }
 
     /// Point-in-time supervision state (breaker states, trip and
     /// quarantine totals) for health reports.
     pub fn supervision_stats(&self) -> SupervisionStats {
-        self.supervisor.lock().unwrap().stats()
+        self.lock_supervisor().stats()
     }
 
     pub fn engine(&self) -> &Engine {
@@ -359,19 +359,42 @@ impl Dopia {
 
     /// Cumulative cache counters (hits, misses, evictions, invalidations).
     pub fn cache_stats(&self) -> CacheStats {
-        self.launch_cache.lock().unwrap().stats()
+        self.lock_cache().stats()
     }
 
     /// Drop every cached decision that references `id` — the explicit
     /// invalidation hook for buffer rebinds performed outside
     /// [`Memory::resize`] / [`Memory::rebind`].
     pub fn invalidate_buffer(&self, id: BufferId) {
-        self.launch_cache.lock().unwrap().invalidate_buffer(id);
+        self.lock_cache().invalidate_buffer(id);
     }
 
     /// Drop every cached decision (counters are preserved).
     pub fn clear_launch_cache(&self) {
-        self.launch_cache.lock().unwrap().clear();
+        self.lock_cache().clear();
+    }
+
+    /// The launch cache. A launch that panicked while holding it may have
+    /// left it half-updated, so recovery drops every entry; the monotonic
+    /// counters stay.
+    fn lock_cache(&self) -> MutexGuard<'_, DecisionCache> {
+        self.launch_cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            self.launch_cache.clear_poison();
+            cache
+        })
+    }
+
+    /// The supervisor. Recovery from a panicked holder starts a fresh one
+    /// under the same configuration.
+    fn lock_supervisor(&self) -> MutexGuard<'_, Supervisor> {
+        self.supervisor.lock().unwrap_or_else(|poisoned| {
+            let mut supervisor = poisoned.into_inner();
+            *supervisor = Supervisor::new(supervisor.config());
+            self.supervisor.clear_poison();
+            supervisor
+        })
     }
 
     /// Consume one injected transient profile failure, if any remain.
@@ -402,11 +425,10 @@ impl Dopia {
             // launchable as GPU-original-only instead of failing the whole
             // program (an unmanaged kernel is strictly better than no
             // program).
-            let degraded_mode =
-                match transform_malleable(&kernel, 1).and_then(|_| transform_malleable(&kernel, 2)) {
-                    Ok(_) => DegradedMode::FullyManaged,
-                    Err(e) => DegradedMode::GpuOriginalOnly { reason: e.to_string() },
-                };
+            let degraded_mode = match check_malleable(&kernel) {
+                Ok(()) => DegradedMode::FullyManaged,
+                Err(e) => DegradedMode::GpuOriginalOnly { reason: e.to_string() },
+            };
             // Lower to bytecode once per program build. A kernel the VM
             // cannot hold (register-file overflow, a barrier inside control
             // flow) could never be profiled, so it fails the build.
@@ -453,7 +475,7 @@ impl Dopia {
             .ok_or_else(|| DopiaError::UnknownKernel(kernel_name.to_string()))?;
         nd.validate().map_err(DopiaError::InvalidLaunch)?;
         let groups = nd.num_groups();
-        let guidance = self.supervisor.lock().unwrap().begin_launch(prepared.id, groups);
+        let guidance = self.lock_supervisor().begin_launch(prepared.id, groups);
 
         // Degraded kernels have no alternative device and no model: the
         // supervisor only observes (its outcomes still feed the GPU
@@ -502,7 +524,7 @@ impl Dopia {
 
         let lookup_start = Instant::now();
         let key = LaunchKey::new(prepared.id, prepared.code_id(), nd, args, mem);
-        let cached = self.launch_cache.lock().unwrap().get(&key);
+        let cached = self.lock_cache().get(&key);
         if let Some(hit) = cached {
             if let Some(mut selection) = hit.selection {
                 selection.inference_s = lookup_start.elapsed().as_secs_f64();
@@ -522,7 +544,7 @@ impl Dopia {
         // that just quarantined its model was steered by predictions now
         // known bad — neither may be frozen into the cache.
         if !result.selection.fallback && !events.quarantine_entered {
-            self.launch_cache.lock().unwrap().insert(
+            self.lock_cache().insert(
                 key,
                 CachedDecision { profile, selection: Some(result.selection) },
             );
@@ -559,7 +581,7 @@ impl Dopia {
         result: &mut LaunchResult,
     ) -> LaunchEvents {
         let point = result.selection.point;
-        let events = self.supervisor.lock().unwrap().observe_launch(
+        let events = self.lock_supervisor().observe_launch(
             kernel_id,
             groups,
             point.cpu_cores > 0,
@@ -571,7 +593,7 @@ impl Dopia {
         result.health.breaker_trips = events.breaker_trips;
         result.health.model_quarantines = events.quarantine_entered as u32;
         if events.quarantine_entered {
-            self.launch_cache.lock().unwrap().invalidate_kernel(kernel_id);
+            self.lock_cache().invalidate_kernel(kernel_id);
         }
         events
     }
@@ -1086,5 +1108,52 @@ mod tests {
         dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
             .unwrap();
+    }
+
+    #[test]
+    fn launches_recover_from_poisoned_locks() {
+        let dopia = fresh_dopia();
+        let config = SupervisionConfig { breaker_threshold: 7, ..SupervisionConfig::default() };
+        dopia.set_supervision_config(config);
+        let program = dopia
+            .create_program_with_source(workloads::polybench::GESUMMV_SRC)
+            .unwrap();
+        let mut mem = Memory::new();
+        let built = workloads::polybench::gesummv(&mut mem, 1024, 256);
+        let launch = |mem: &mut Memory| {
+            dopia.enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, mem)
+        };
+        launch(&mut mem).unwrap();
+        assert_eq!(dopia.lock_cache().len(), 1);
+        let before = dopia.cache_stats();
+
+        // A launch that panics while holding either lock poisons it.
+        std::thread::scope(|s| {
+            let cache = s.spawn(|| {
+                let _held = dopia.launch_cache.lock().unwrap();
+                panic!("launch panicked holding the cache");
+            });
+            assert!(cache.join().is_err());
+            let supervisor = s.spawn(|| {
+                let _held = dopia.supervisor.lock().unwrap();
+                panic!("launch panicked holding the supervisor");
+            });
+            assert!(supervisor.join().is_err());
+        });
+        assert!(dopia.launch_cache.is_poisoned() && dopia.supervisor.is_poisoned());
+
+        // The next launch recovers both: it misses because the cache was
+        // emptied, and the counters never go backwards.
+        let result = launch(&mut mem).unwrap();
+        assert!(!dopia.launch_cache.is_poisoned() && !dopia.supervisor.is_poisoned());
+        assert_eq!(result.health.launch_cache_misses, 1, "the recovered cache starts empty");
+        assert_eq!(dopia.lock_cache().len(), 1);
+        assert_eq!(dopia.supervision_config(), config, "a fresh supervisor keeps the config");
+        let after = dopia.cache_stats();
+        assert_eq!(after.misses, before.misses + 1);
+        assert!(after.hits >= before.hits);
+        assert!(after.evictions >= before.evictions);
+        assert!(after.invalidations >= before.invalidations);
+        assert_eq!(launch(&mut mem).unwrap().health.launch_cache_hits, 1);
     }
 }

@@ -3,7 +3,7 @@
 //! throttle level, the malleable GPU kernel must compute exactly what the
 //! original computes.
 
-use dopia::core::codegen::transform_malleable;
+use dopia::core::codegen::{check_malleable, transform_malleable};
 use proptest::prelude::*;
 use sim::interp::run_functional;
 use sim::{ArgValue, Memory};
@@ -132,4 +132,67 @@ fn single_active_lane_completes_group() {
     let expected = run_and_read(&program.kernels[0], &params, &[], 5);
     let got = run_and_read(&malleable, &params, &[ArgValue::Int(64), ArgValue::Int(1)], 5);
     assert_eq!(expected, got);
+}
+
+/// Kernels the transform rejects, including nested queries whose error
+/// message prints a partly rewritten argument (and a user identifier that
+/// forces a suffixed work-id name).
+const REJECTED_SRCS: [&str; 4] = [
+    "__kernel void k(__global float* a, int d) { a[get_global_id(d)] = 1.0f; }",
+    "__kernel void k(__global float* a) { a[get_global_id(get_global_id(0))] = 1.0f; }",
+    "__kernel void k(__global float* a, int dynamic_work) {
+        a[get_local_id(get_global_id(0) + get_local_id(1) + dynamic_work)] = 1.0f;
+    }",
+    "__kernel void k(__global float* a, int d) {
+        int i = get_global_id(0);
+        if (i > 0) { a[get_global_id(get_local_id(d))] = 2.0f; }
+    }",
+];
+
+/// The build path's read-only check accepts and rejects exactly what the
+/// 1-D and 2-D transforms do, with the same error, on every shipped
+/// kernel source.
+#[test]
+fn check_malleable_agrees_with_both_transforms() {
+    let mut sources: Vec<String> = [
+        workloads::polybench::ATAX1_SRC,
+        workloads::polybench::ATAX2_SRC,
+        workloads::polybench::BICG1_SRC,
+        workloads::polybench::BICG2_SRC,
+        workloads::polybench::CONV2D_SRC,
+        workloads::polybench::FDTD1_SRC,
+        workloads::polybench::FDTD2_SRC,
+        workloads::polybench::FDTD3_SRC,
+        workloads::polybench::GEMM_SRC,
+        workloads::polybench::GESUMMV_SRC,
+        workloads::polybench::MVT1_SRC,
+        workloads::polybench::MVT2_SRC,
+        workloads::polybench::SYR2K_SRC,
+        workloads::spmv::SPMV_SRC,
+        workloads::pagerank::PAGERANK_SRC,
+    ]
+    .iter()
+    .chain(REJECTED_SRCS.iter())
+    .map(|s| s.to_string())
+    .collect();
+    sources.extend(workloads::synthetic::training_grid().iter().step_by(17).map(|p| p.source()));
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/kernels");
+    for entry in std::fs::read_dir(examples).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "cl") {
+            sources.push(std::fs::read_to_string(path).unwrap());
+        }
+    }
+
+    let mut rejected = 0;
+    for source in &sources {
+        for kernel in &clc::compile(source).unwrap().kernels {
+            let transformed = transform_malleable(kernel, 1)
+                .and(transform_malleable(kernel, 2))
+                .map(|_| ());
+            rejected += transformed.is_err() as usize;
+            assert_eq!(check_malleable(kernel), transformed, "{}", kernel.name);
+        }
+    }
+    assert_eq!(rejected, REJECTED_SRCS.len(), "every rejected kernel is rejected");
 }
