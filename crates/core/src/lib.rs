@@ -73,7 +73,9 @@ pub use configs::{config_space, DopPoint};
 pub use features::{CodeFeatures, FeatureVector};
 pub use model::PerfModel;
 pub use queue::{CommandQueue, QueueSummary};
-pub use runtime::{DegradedMode, Dopia, DopiaError, LaunchResult, Program, RuntimeHealth};
+pub use runtime::{
+    DecisionSource, DegradedMode, Dopia, DopiaError, LaunchResult, Program, RuntimeHealth,
+};
 pub use supervision::{
     BreakerState, CircuitBreaker, DevicePin, LaunchGuidance, MispredictionMonitor,
     SupervisionConfig, SupervisionStats, Supervisor,

@@ -7,10 +7,11 @@
 //!   malleable rewrite (Figs. 5/6) applies, and lower each kernel to the
 //!   bytecode its profiles run on. The rewrite and the CPU code (Fig. 7)
 //!   are generated on demand for inspection; no simulated launch runs them.
-//! * [`Dopia::enqueue_nd_range_kernel`] — run-time path: combine static and
-//!   launch features, sweep the ML model over the 44 DoP configurations,
-//!   then co-execute with the dynamic CPU-pull / GPU-push distributor
-//!   (Algorithm 1; realized by the simulator's DES).
+//! * [`Dopia::enqueue_nd_range_kernel`] — run-time path, one pipeline per
+//!   launch: *decide* the DoP configuration (a [`DecisionSource`]; normally
+//!   the ML model swept over the 44 configurations), *execute* it with the
+//!   dynamic CPU-pull / GPU-push distributor (Algorithm 1; realized by the
+//!   simulator's DES), *observe* the outcome for the supervision layer.
 //!
 //! Model-inference wall time is measured for real and added to the
 //! simulated kernel time, matching the paper's accounting ("all runtime
@@ -22,7 +23,7 @@ use crate::configs::{config_space, find_config, DopPoint};
 use crate::features::{extract_code_features, CodeFeatures};
 use crate::model::{heuristic_select, PerfModel, Selection};
 use crate::supervision::{
-    DevicePin, LaunchEvents, SupervisionConfig, SupervisionStats, Supervisor,
+    DevicePin, LaunchEvents, LaunchGuidance, SupervisionConfig, SupervisionStats, Supervisor,
 };
 use sim::fault::FaultPlan;
 use sim::{
@@ -240,9 +241,52 @@ impl Program {
     }
 }
 
+/// How a launch's configuration was decided. Exactly one applies to every
+/// launch, and it alone sets the launch's one-hot [`RuntimeHealth`]
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionSource {
+    /// A [`DegradedMode::GpuOriginalOnly`] kernel: GPU-only, no model.
+    Degraded,
+    /// An open device breaker pinned the surviving device's static config.
+    Pinned,
+    /// The kernel's model is quarantined; the feature heuristic chose.
+    Quarantined,
+    /// Served from the decision cache: no profile, no model sweep.
+    CacheHit,
+    /// The model chose after a cache miss.
+    CacheMiss,
+    /// The model chose with the cache off, or in [`Dopia::launch_with_profile`].
+    Uncached,
+}
+
+impl DecisionSource {
+    /// Kebab-case name (CLI output).
+    pub fn name(self) -> &'static str {
+        match self {
+            DecisionSource::Degraded => "degraded",
+            DecisionSource::Pinned => "pinned",
+            DecisionSource::Quarantined => "quarantined",
+            DecisionSource::CacheHit => "cache-hit",
+            DecisionSource::CacheMiss => "cache-miss",
+            DecisionSource::Uncached => "uncached",
+        }
+    }
+}
+
+/// What the decide stage hands to execute, plus a miss's cache key.
+struct Decision {
+    source: DecisionSource,
+    selection: Selection,
+    profile: KernelProfile,
+    miss_key: Option<LaunchKey>,
+}
+
 /// The result of one managed launch.
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchResult {
+    /// How the configuration was decided.
+    pub source: DecisionSource,
     /// DoP selection the model made, incl. measured inference wall time.
     pub selection: Selection,
     /// Simulated co-execution report at the chosen configuration.
@@ -444,24 +488,18 @@ impl Dopia {
         Ok(Program { source: source.to_string(), kernels })
     }
 
-    /// Run-time path: select the DoP and co-execute.
+    /// Run-time path: **decide → execute → observe**, then cache a fresh
+    /// model decision.
     ///
-    /// Repeated launches of the same prepared kernel with the same NDRange
-    /// and argument signature (buffer shapes + scalar values) are served
-    /// from the decision cache: the sampled-interpretation profile and the
-    /// 44-point model sweep — the two dominant hot-path costs — are skipped
-    /// and only the co-execution itself runs. A hit reports the measured
-    /// cache-lookup wall time as `selection.inference_s`, keeping the
-    /// paper's overhead accounting honest. Degraded kernels bypass the
-    /// cache (they have no model selection worth memoizing).
-    ///
-    /// Every launch first consults the supervision layer: an open device
-    /// breaker pins the launch to the surviving device's static config, a
-    /// quarantined model is replaced by the feature heuristic, and a
-    /// deadline (when the kernel class has launch history) arms straggler
-    /// re-dispatch in the DES. Supervised overrides bypass the decision
-    /// cache in *both* directions — they neither read nor write it — so a
-    /// decision made under a fault never outlives the fault.
+    /// *Decide* honours supervision first: a degraded kernel, an open
+    /// breaker's pin and a quarantined model's heuristic are fault-driven,
+    /// so they neither read nor write the decision cache. Otherwise a
+    /// launch whose kernel, NDRange and argument signature (buffer shapes +
+    /// scalar values) are cached skips the profile and the 44-point model
+    /// sweep, and reports its key-build + lookup wall time as
+    /// `selection.inference_s`. *Execute* co-executes, with straggler
+    /// re-dispatch armed by the kernel class's launch history; *observe*
+    /// feeds the outcome back to the supervisor.
     pub fn enqueue_nd_range_kernel(
         &self,
         program: &Program,
@@ -476,110 +514,146 @@ impl Dopia {
         nd.validate().map_err(DopiaError::InvalidLaunch)?;
         let groups = nd.num_groups();
         let guidance = self.lock_supervisor().begin_launch(prepared.id, groups);
-
-        // Degraded kernels have no alternative device and no model: the
-        // supervisor only observes (its outcomes still feed the GPU
-        // breaker other kernels consult).
-        if prepared.is_degraded() {
-            let profile = self.profile(prepared, args, nd, mem)?;
-            let mut result = self.launch_degraded(&profile, nd);
-            self.observe_launch(prepared.id, groups, &mut result);
-            return Ok(result);
-        }
-
-        // Supervision override: an open breaker pins the device choice, a
-        // quarantined model yields to the feature heuristic. Either way
-        // the decision is fault-driven, not launch-driven — bypass the
-        // cache entirely so it is neither served stale nor recorded.
-        let override_selection = if let Some(pin) = guidance.pin {
-            Some((self.pinned_selection(pin), true))
-        } else if !guidance.use_model {
-            let cores = self.engine.platform.cpu.cores;
-            Some((heuristic_select(prepared.features, &self.space, cores), false))
-        } else {
-            None
-        };
-        if let Some((selection, pinned)) = override_selection {
-            let profile = self.profile(prepared, args, nd, mem)?;
-            let mut result =
-                self.launch_with_selection(&profile, nd, selection, guidance.deadline_s);
-            // The override is supervision healing, not a broken model.
-            result.health.prediction_fallbacks = 0;
-            if pinned {
-                result.health.breaker_pinned_launches = 1;
-            } else {
-                result.health.quarantined_launches = 1;
-            }
-            self.observe_launch(prepared.id, groups, &mut result);
-            return Ok(result);
-        }
-
-        if !self.cache_enabled.load(Ordering::Relaxed) {
-            let profile = self.profile(prepared, args, nd, mem)?;
-            let mut result =
-                self.launch_selected(prepared, &profile, nd, guidance.deadline_s);
-            self.observe_launch(prepared.id, groups, &mut result);
-            return Ok(result);
-        }
-
-        let lookup_start = Instant::now();
-        let key = LaunchKey::new(prepared.id, prepared.code_id(), nd, args, mem);
-        let cached = self.lock_cache().get(&key);
-        if let Some(hit) = cached {
-            if let Some(mut selection) = hit.selection {
-                selection.inference_s = lookup_start.elapsed().as_secs_f64();
-                let mut result =
-                    self.launch_with_selection(&hit.profile, nd, selection, guidance.deadline_s);
-                result.health.launch_cache_hits = 1;
-                self.observe_launch(prepared.id, groups, &mut result);
-                return Ok(result);
-            }
-        }
-
-        let profile = self.profile(prepared, args, nd, mem)?;
-        let mut result = self.launch_selected(prepared, &profile, nd, guidance.deadline_s);
-        result.health.launch_cache_misses = 1;
-        let events = self.observe_launch(prepared.id, groups, &mut result);
+        let Decision { source, selection, profile, miss_key } =
+            self.decide(prepared, args, nd, mem, &guidance)?;
+        let mut result = self.execute(&profile, nd, source, selection, guidance.deadline_s);
+        let events = self.observe(prepared.id, groups, &mut result);
         // Fallback selections come from a model gone wrong, and a launch
         // that just quarantined its model was steered by predictions now
         // known bad — neither may be frozen into the cache.
-        if !result.selection.fallback && !events.quarantine_entered {
-            self.lock_cache().insert(
-                key,
-                CachedDecision { profile, selection: Some(result.selection) },
-            );
+        if let Some(key) = miss_key.filter(|_| !selection.fallback && !events.quarantine_entered) {
+            self.lock_cache().insert(key, CachedDecision { profile, selection: Some(selection) });
         }
         Ok(result)
     }
 
-    /// Model selection + supervised co-execution (the cache-miss tail).
-    fn launch_selected(
+    /// The decide stage. Profiles at most once, and never on a cache hit.
+    fn decide(
         &self,
         prepared: &PreparedKernel,
-        profile: &KernelProfile,
+        args: &[ArgValue],
         nd: NdRange,
-        deadline_s: Option<f64>,
-    ) -> LaunchResult {
-        let selection = self.model.select_config(
+        mem: &mut Memory,
+        guidance: &LaunchGuidance,
+    ) -> Result<Decision, DopiaError> {
+        if let Some((source, selection)) = self.override_selection(prepared, guidance) {
+            let profile = self.profile(prepared, args, nd, mem)?;
+            return Ok(Decision { source, selection, profile, miss_key: None });
+        }
+        let (mut source, mut miss_key) = (DecisionSource::Uncached, None);
+        if self.launch_cache_enabled() {
+            let lookup_start = Instant::now();
+            let key = LaunchKey::new(prepared.id, prepared.code_id(), nd, args, mem);
+            let cached = self.lock_cache().get(&key);
+            if let Some(CachedDecision { profile, selection: Some(mut selection) }) = cached {
+                selection.inference_s = lookup_start.elapsed().as_secs_f64();
+                let source = DecisionSource::CacheHit;
+                return Ok(Decision { source, selection, profile, miss_key: None });
+            }
+            (source, miss_key) = (DecisionSource::CacheMiss, Some(key));
+        }
+        let profile = self.profile(prepared, args, nd, mem)?;
+        let selection = self.model_selection(prepared, nd);
+        Ok(Decision { source, selection, profile, miss_key })
+    }
+
+    /// The decisions the model does not make (`None`: the model decides).
+    /// A degraded kernel has no model and no second device; its outcomes
+    /// still feed the GPU breaker that other kernels consult.
+    fn override_selection(
+        &self,
+        prepared: &PreparedKernel,
+        guidance: &LaunchGuidance,
+    ) -> Option<(DecisionSource, Selection)> {
+        if prepared.is_degraded() {
+            Some((DecisionSource::Degraded, self.static_selection(DevicePin::Gpu)))
+        } else if let Some(pin) = guidance.pin {
+            Some((DecisionSource::Pinned, self.static_selection(pin)))
+        } else if !guidance.use_model {
+            let cores = self.engine.platform.cpu.cores;
+            let selection = heuristic_select(prepared.features, &self.space, cores);
+            Some((DecisionSource::Quarantined, selection))
+        } else {
+            None
+        }
+    }
+
+    /// The model's sweep over the configuration space.
+    fn model_selection(&self, prepared: &PreparedKernel, nd: NdRange) -> Selection {
+        self.model.select_config(
             prepared.features,
             nd.work_dim,
             nd.global_size(),
             nd.local_size(),
             &self.space,
-        );
-        self.launch_with_selection(profile, nd, selection, deadline_s)
+        )
     }
 
-    /// Feed a completed launch back into the supervisor and fold the
-    /// resulting supervision counters into the launch's health. A model
-    /// entering quarantine also invalidates the kernel's cached decisions
-    /// — they were produced by the now-distrusted predictions.
-    fn observe_launch(
+    /// The execute stage, the runtime's only call into the engine. A
+    /// managed launch runs the malleable kernel under Algorithm 1; a
+    /// degraded one runs the original kernel as one static GPU dispatch,
+    /// as an unmanaged OpenCL runtime would. The deadline applies only
+    /// when both devices run: re-dispatch moves reclaimed work to the
+    /// *other* device, and a single-device run has no survivor.
+    fn execute(
         &self,
-        kernel_id: u64,
-        groups: usize,
-        result: &mut LaunchResult,
-    ) -> LaunchEvents {
+        profile: &KernelProfile,
+        nd: NdRange,
+        source: DecisionSource,
+        selection: Selection,
+        deadline_s: Option<f64>,
+    ) -> LaunchResult {
+        let no_faults = FaultPlan::none();
+        let plan = self.fault_plan.as_ref().unwrap_or(&no_faults);
+        let point = selection.point;
+        let (schedule, malleable, deadline_s) = match source {
+            DecisionSource::Degraded => (Schedule::Static { cpu_fraction: 0.0 }, false, None),
+            _ => (
+                Schedule::Dynamic { chunk_divisor: self.chunk_divisor },
+                true,
+                deadline_s.filter(|_| point.cpu_cores > 0 && point.gpu_eighths > 0),
+            ),
+        };
+        let report = self.engine.simulate_supervised(
+            profile,
+            &nd,
+            point.dop(),
+            schedule,
+            malleable,
+            plan,
+            deadline_s,
+        );
+        // Only a model decision counts as a prediction fallback; the
+        // overrides choose without the model.
+        let model_chose = matches!(
+            source,
+            DecisionSource::CacheHit | DecisionSource::CacheMiss | DecisionSource::Uncached
+        );
+        let health = RuntimeHealth {
+            prediction_fallbacks: (model_chose && selection.fallback) as u32,
+            degraded_launches: (source == DecisionSource::Degraded) as u32,
+            breaker_pinned_launches: (source == DecisionSource::Pinned) as u32,
+            quarantined_launches: (source == DecisionSource::Quarantined) as u32,
+            launch_cache_hits: (source == DecisionSource::CacheHit) as u32,
+            launch_cache_misses: (source == DecisionSource::CacheMiss) as u32,
+            watchdog_recoveries: report.watchdog_fires,
+            ..RuntimeHealth::default()
+        };
+        LaunchResult {
+            source,
+            selection,
+            report,
+            kernel_time_s: report.time_s,
+            total_time_s: report.time_s + selection.inference_s,
+            health,
+        }
+    }
+
+    /// The observe stage: feed a completed launch to the supervisor and
+    /// fold its counters into the launch's health. A model entering
+    /// quarantine also drops the kernel's cached decisions — the
+    /// now-distrusted predictions made them.
+    fn observe(&self, kernel_id: u64, groups: usize, result: &mut LaunchResult) -> LaunchEvents {
         let point = result.selection.point;
         let events = self.lock_supervisor().observe_launch(
             kernel_id,
@@ -598,10 +672,11 @@ impl Dopia {
         events
     }
 
-    /// The static config a breaker-pinned launch runs at: every core of
-    /// the surviving device, nothing on the broken one.
-    fn pinned_selection(&self, pin: DevicePin) -> Selection {
-        let index = match pin {
+    /// Every core of one device, nothing on the other (a breaker pin, or a
+    /// degraded kernel on the GPU). `nearest_config` covers spaces without
+    /// the full-DoP point, without a panic path.
+    fn static_selection(&self, device: DevicePin) -> Selection {
+        let index = match device {
             DevicePin::Cpu => find_config(&self.space, self.engine.platform.cpu.cores, 0)
                 .unwrap_or_else(|| nearest_config(&self.space, 1.0, 0.0)),
             DevicePin::Gpu => find_config(&self.space, 0, 8)
@@ -640,105 +715,20 @@ impl Dopia {
         }
     }
 
-    /// Model selection + simulated co-execution for an already-profiled
-    /// launch. Degraded kernels skip selection and run GPU-original-only;
-    /// unusable predictions fall back to the GPU-only heuristic. Either
-    /// way the launch completes and [`LaunchResult::health`] says what was
-    /// absorbed.
+    /// Decide and execute an already-profiled launch without cache or
+    /// supervision: a degraded kernel runs GPU-original-only, any other
+    /// takes the model's pick (unusable predictions fall back to the
+    /// GPU-only heuristic). [`LaunchResult::health`] says what was absorbed.
     pub fn launch_with_profile(
         &self,
         prepared: &PreparedKernel,
         profile: &KernelProfile,
         nd: NdRange,
     ) -> LaunchResult {
-        if prepared.is_degraded() {
-            return self.launch_degraded(profile, nd);
-        }
-        self.launch_selected(prepared, profile, nd, None)
-    }
-
-    /// Simulated co-execution at an already-selected configuration — the
-    /// shared tail of the miss path (fresh selection), the hit path
-    /// (cached selection) and the supervised override paths. `deadline_s`
-    /// (from the supervisor's per-class launch history) arms straggler
-    /// re-dispatch in the DES.
-    fn launch_with_selection(
-        &self,
-        profile: &KernelProfile,
-        nd: NdRange,
-        selection: Selection,
-        deadline_s: Option<f64>,
-    ) -> LaunchResult {
-        let no_faults = FaultPlan::none();
-        let plan = self.fault_plan.as_ref().unwrap_or(&no_faults);
-        // Straggler re-dispatch moves reclaimed work to the *other*
-        // device; a single-device configuration has no survivor, so a
-        // deadline there could only lose work it would otherwise finish.
-        let deadline_s = deadline_s
-            .filter(|_| selection.point.cpu_cores > 0 && selection.point.gpu_eighths > 0);
-        let report = self.engine.simulate_supervised(
-            profile,
-            &nd,
-            selection.point.dop(),
-            Schedule::Dynamic { chunk_divisor: self.chunk_divisor },
-            true, // Dopia always runs the malleable GPU kernel
-            plan,
-            deadline_s,
-        );
-        let health = RuntimeHealth {
-            prediction_fallbacks: selection.fallback as u32,
-            watchdog_recoveries: report.watchdog_fires,
-            ..RuntimeHealth::default()
-        };
-        LaunchResult {
-            selection,
-            report,
-            kernel_time_s: report.time_s,
-            total_time_s: report.time_s + selection.inference_s,
-            health,
-        }
-    }
-
-    /// The reduced launch path for [`DegradedMode::GpuOriginalOnly`]
-    /// kernels: the original kernel, GPU alone, one static dispatch, no
-    /// model sweep — exactly what an unmanaged OpenCL runtime would do.
-    fn launch_degraded(&self, profile: &KernelProfile, nd: NdRange) -> LaunchResult {
-        let no_faults = FaultPlan::none();
-        let plan = self.fault_plan.as_ref().unwrap_or(&no_faults);
-        // The GPU-only full-DoP point always exists in the Table 3 space;
-        // nearest_config covers hypothetical reduced spaces without a
-        // panic path. No deadline: a single-device run has no survivor to
-        // re-dispatch stragglers to.
-        let index = find_config(&self.space, 0, 8)
-            .unwrap_or_else(|| nearest_config(&self.space, 0.0, 1.0));
-        let point = self.space[index];
-        let report = self.engine.simulate_with_faults(
-            profile,
-            &nd,
-            point.dop(),
-            Schedule::Static { cpu_fraction: 0.0 },
-            false, // original kernel, not the malleable rewrite
-            plan,
-        );
-        let selection = Selection {
-            index,
-            point,
-            predicted: f64::NAN, // no model was consulted
-            inference_s: 0.0,
-            fallback: true,
-        };
-        let health = RuntimeHealth {
-            degraded_launches: 1,
-            watchdog_recoveries: report.watchdog_fires,
-            ..RuntimeHealth::default()
-        };
-        LaunchResult {
-            selection,
-            report,
-            kernel_time_s: report.time_s,
-            total_time_s: report.time_s,
-            health,
-        }
+        let (source, selection) = self
+            .override_selection(prepared, &LaunchGuidance::neutral())
+            .unwrap_or_else(|| (DecisionSource::Uncached, self.model_selection(prepared, nd)));
+        self.execute(profile, nd, source, selection, None)
     }
 }
 
@@ -949,6 +939,104 @@ mod tests {
         assert_eq!(result.health.degraded_launches, 1);
         assert!(result.selection.fallback);
         assert!(!result.health.is_nominal());
+    }
+
+    /// Prefers full co-execution (every launch runs on both devices) and
+    /// predicts a normalized performance of 2 where 1 is the measurable
+    /// ceiling, so its relative error always exceeds the quarantine
+    /// threshold.
+    struct CoExecOptimist;
+
+    impl ml::Regressor for CoExecOptimist {
+        fn predict(&self, row: &[f64]) -> f64 {
+            // row[9] = cpu_util, row[10] = gpu_util (Table 1 order).
+            row[9] + row[10]
+        }
+        fn name(&self) -> &'static str {
+            "coexec-optimist"
+        }
+    }
+
+    /// Drive a fresh runtime until its next launch is decided by `source`,
+    /// and return that launch.
+    fn launch_decided_by(source: DecisionSource) -> LaunchResult {
+        let model = PerfModel::from_regressor(ModelKind::Lin, Box::new(CoExecOptimist));
+        let mut dopia = Dopia::new(Engine::kaveri(), model);
+        let mut mem = Memory::new();
+        if source == DecisionSource::Degraded {
+            let src = "__kernel void tricky(__global float* a, int d) {
+                           a[get_global_id(d)] = 2.0f; }";
+            let program = dopia.create_program_with_source(src).unwrap();
+            let a = mem.alloc_f32(vec![0.0; 1024]);
+            let args = [ArgValue::Buffer(a), ArgValue::Int(0)];
+            let nd = NdRange::d1(1024, 64);
+            let result =
+                dopia.enqueue_nd_range_kernel(&program, "tricky", &args, nd, &mut mem).unwrap();
+            // Exactly the unmanaged run: the original kernel as one static
+            // GPU-only dispatch.
+            let point = result.selection.point;
+            assert_eq!((point.cpu_cores, point.gpu_eighths), (0, 8));
+            let prepared = program.kernel("tricky").unwrap();
+            let profile = dopia.profile(prepared, &args, nd, &mut mem).unwrap();
+            let unmanaged = dopia.engine().simulate_with_faults(
+                &profile,
+                &nd,
+                point.dop(),
+                Schedule::Static { cpu_fraction: 0.0 },
+                false,
+                &FaultPlan::none(),
+            );
+            assert_eq!(result.kernel_time_s.to_bits(), unmanaged.time_s.to_bits());
+            return result;
+        }
+
+        let program = dopia
+            .create_program_with_source(workloads::polybench::GESUMMV_SRC)
+            .unwrap();
+        let built = workloads::polybench::gesummv(&mut mem, 1024, 256);
+        let launch = |dopia: &Dopia, mem: &mut Memory| {
+            dopia.enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, mem).unwrap()
+        };
+        match source {
+            DecisionSource::Pinned => {
+                // Core 0 dies at t = 0 in every launch; one fault trips the
+                // CPU breaker.
+                let config = SupervisionConfig { breaker_threshold: 1, ..Default::default() };
+                dopia.set_supervision_config(config);
+                dopia.set_fault_plan(FaultPlan::preset("cpu-stall").unwrap());
+                assert_eq!(launch(&dopia, &mut mem).health.breaker_trips, 1);
+            }
+            DecisionSource::Quarantined => {
+                let config = SupervisionConfig { quarantine_min_samples: 1, ..Default::default() };
+                dopia.set_supervision_config(config);
+                assert_eq!(launch(&dopia, &mut mem).health.model_quarantines, 1);
+            }
+            DecisionSource::CacheHit => {
+                launch(&dopia, &mut mem);
+            }
+            DecisionSource::Uncached => dopia.set_launch_cache_enabled(false),
+            DecisionSource::CacheMiss | DecisionSource::Degraded => {}
+        }
+        launch(&dopia, &mut mem)
+    }
+
+    #[test]
+    fn every_decision_source_sets_its_own_health_counter() {
+        let none = RuntimeHealth::default();
+        let cases = [
+            (DecisionSource::Degraded, RuntimeHealth { degraded_launches: 1, ..none }),
+            (DecisionSource::Pinned, RuntimeHealth { breaker_pinned_launches: 1, ..none }),
+            (DecisionSource::Quarantined, RuntimeHealth { quarantined_launches: 1, ..none }),
+            (DecisionSource::CacheHit, RuntimeHealth { launch_cache_hits: 1, ..none }),
+            (DecisionSource::CacheMiss, RuntimeHealth { launch_cache_misses: 1, ..none }),
+            (DecisionSource::Uncached, none),
+        ];
+        for (source, health) in cases {
+            let result = launch_decided_by(source);
+            assert_eq!(result.source, source);
+            assert_eq!(result.health, health, "{}", source.name());
+            assert_eq!(result.report.lost_groups, 0, "{}", source.name());
+        }
     }
 
     #[test]

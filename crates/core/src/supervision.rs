@@ -19,7 +19,7 @@
 //! 2. **Launch deadlines** — each launch of a known kernel class gets a
 //!    deadline of `deadline_factor x` its smoothed observed time; the DES
 //!    re-dispatches straggling chunks past the deadline onto the surviving
-//!    device (see `sim::des::run_des_supervised`).
+//!    device (see `sim::des::run_des_exact`).
 //! 3. **Misprediction monitoring with model quarantine**
 //!    ([`MispredictionMonitor`]) — an EWMA of the relative error between
 //!    the model's predicted normalized performance and the measured one,

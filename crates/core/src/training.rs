@@ -72,8 +72,7 @@ impl WorkloadRecord {
         }
     }
 
-    /// One-line tab-separated form (used by the grid cache and the
-    /// checkpoint file of [`run_grid_checkpointed`]).
+    /// One-line tab-separated form (the grid cache's record format).
     pub fn to_tsv(&self) -> String {
         let times: Vec<String> = self.times.iter().map(|t| format!("{:e}", t)).collect();
         format!(
@@ -242,93 +241,6 @@ pub fn run_grid(
     slots.into_iter().map(|s| s.expect("all slots filled")).collect()
 }
 
-/// Like [`run_grid`], but resumable: each finished workload is appended to
-/// `checkpoint` (one `index\t<record>` line, flushed immediately), and a
-/// re-run against an existing checkpoint only measures the workloads that
-/// are not in it yet. The 1,224-workload sweep takes long enough that a
-/// crash or an impatient Ctrl-C mid-run should not cost the finished part.
-///
-/// The checkpoint's header pins the grid length; a file written for a
-/// different grid is discarded and the sweep starts over. Torn final lines
-/// (the crash happened mid-append) are skipped and those workloads simply
-/// re-measured, so resume never trusts a half-written record.
-pub fn run_grid_checkpointed(
-    engine: &Engine,
-    grid: &[SyntheticParams],
-    space: &[DopPoint],
-    opts: &TrainingOptions,
-    checkpoint: &std::path::Path,
-) -> std::io::Result<Vec<WorkloadRecord>> {
-    use std::io::Write;
-
-    let header = format!("# dopia-checkpoint v1 grid={}", grid.len());
-    let mut slots: Vec<Option<WorkloadRecord>> = (0..grid.len()).map(|_| None).collect();
-    let mut resumed = false;
-    if let Ok(text) = std::fs::read_to_string(checkpoint) {
-        let mut lines = text.lines();
-        if lines.next() == Some(header.as_str()) {
-            resumed = true;
-            for line in lines {
-                let Some((idx, rest)) = line.split_once('\t') else { continue };
-                let (Ok(i), Some(record)) = (idx.parse::<usize>(), WorkloadRecord::from_tsv(rest))
-                else {
-                    continue;
-                };
-                if i < grid.len() {
-                    slots[i] = Some(record);
-                }
-            }
-        }
-    }
-    let mut file = if resumed {
-        std::fs::OpenOptions::new().append(true).open(checkpoint)?
-    } else {
-        if let Some(dir) = checkpoint.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut f = std::fs::File::create(checkpoint)?;
-        writeln!(f, "{}", header)?;
-        f
-    };
-
-    let todo: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, WorkloadRecord)>();
-    let mut write_result = Ok(());
-    crossbeam::scope(|scope| {
-        let next = &next;
-        let todo = &todo;
-        for _ in 0..opts.threads.max(1) {
-            let tx = tx.clone();
-            scope.spawn(move |_| loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= todo.len() {
-                    break;
-                }
-                let i = todo[t];
-                let mut mem = Memory::new();
-                let built = grid[i].build(&mut mem, 0xD0F1A ^ i as u64);
-                let record = measure_workload(engine, &built, &mut mem, space, opts)
-                    .unwrap_or_else(|e| panic!("workload {} failed: {}", built.name, e));
-                tx.send((i, record)).expect("collector outlives workers");
-            });
-        }
-        drop(tx);
-        // Drain in the scope body: append + flush each record as it lands
-        // so the checkpoint is never more than one record behind.
-        for (i, record) in rx {
-            if write_result.is_ok() {
-                write_result = writeln!(file, "{}\t{}", i, record.to_tsv())
-                    .and_then(|_| file.flush());
-            }
-            slots[i] = Some(record);
-        }
-    })
-    .expect("training sweep threads panicked");
-    write_result?;
-    Ok(slots.into_iter().map(|s| s.expect("all slots filled")).collect())
-}
-
 /// Flatten records into an ML dataset: one row per (workload, config).
 /// Accepts any iterable of record references so callers can filter without
 /// cloning.
@@ -461,51 +373,6 @@ mod tests {
         for cut in [line.len() / 4, line.len() / 2, line.len() - 1] {
             assert!(WorkloadRecord::from_tsv(&line[..cut]).is_none(), "cut at {}", cut);
         }
-    }
-
-    #[test]
-    fn checkpointed_grid_resumes_where_it_left_off() {
-        let engine = Engine::kaveri();
-        let space = config_space(&engine.platform);
-        let grid: Vec<SyntheticParams> =
-            workloads::synthetic::training_grid().into_iter().step_by(300).collect();
-        let opts = TrainingOptions { threads: 2, ..Default::default() };
-        let reference = run_grid(&engine, &grid, &space, &opts);
-
-        let dir = std::env::temp_dir().join("dopia_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grid.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        // Full run from scratch matches run_grid.
-        let a = run_grid_checkpointed(&engine, &grid, &space, &opts, &path).unwrap();
-        assert_eq!(a.len(), reference.len());
-        for (x, y) in a.iter().zip(&reference) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.times, y.times);
-        }
-
-        // Simulate a crash mid-append: keep the header + the first record,
-        // then a torn half-line. Resume must fill in the rest and still
-        // match the reference exactly.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        let header = lines.next().unwrap().to_string();
-        let first = lines.next().unwrap().to_string();
-        let torn = &lines.next().unwrap()[..10];
-        std::fs::write(&path, format!("{}\n{}\n{}", header, first, torn)).unwrap();
-        let b = run_grid_checkpointed(&engine, &grid, &space, &opts, &path).unwrap();
-        for (x, y) in b.iter().zip(&reference) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.times, y.times, "{} drifted after resume", x.name);
-        }
-
-        // A checkpoint for a different grid length is discarded, not mixed in.
-        let short_grid = &grid[..grid.len() - 1];
-        let c = run_grid_checkpointed(&engine, short_grid, &space, &opts, &path).unwrap();
-        assert_eq!(c.len(), short_grid.len());
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(&format!("# dopia-checkpoint v1 grid={}", short_grid.len())));
     }
 
     #[test]

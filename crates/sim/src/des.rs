@@ -87,7 +87,7 @@ pub struct DesReport {
     /// `num_groups`.
     pub recovered_groups: usize,
     /// Work-groups reclaimed from a straggling dispatch by the launch
-    /// deadline (see [`run_des_supervised`]) and completed by a surviving
+    /// deadline (see [`run_des_exact`]) and completed by a surviving
     /// agent. Disjoint from the other buckets.
     pub redispatched_groups: usize,
     /// Work-groups no surviving agent could execute (every device dead).
@@ -160,51 +160,103 @@ struct Agent {
     stall_at: Option<f64>,
 }
 
+impl Agent {
+    /// A healthy agent that has claimed nothing yet.
+    fn idle(is_gpu: bool, cost: GroupCost) -> Agent {
+        Agent {
+            is_gpu,
+            cost,
+            state: State::Idle,
+            groups_done: 0,
+            recovered_done: 0,
+            redispatched_done: 0,
+            busy_s: 0.0,
+            deadline_at: None,
+            launched: false,
+            dispatches: 0,
+            hang_eligible: false,
+            slowdown: 1.0,
+            stall_at: None,
+        }
+    }
+}
+
+/// The schedule's initial split of the worklist, shared by the exact loop
+/// and the fast path.
+struct Worklists {
+    /// Groups only the CPU cores take (static schedule).
+    cpu: usize,
+    /// Groups only the GPU takes (static schedule).
+    gpu: usize,
+    /// Groups both devices pull from (dynamic schedules).
+    shared: usize,
+    /// Work-groups per GPU dispatch.
+    gpu_chunk: usize,
+}
+
+impl Worklists {
+    fn split(input: &DesInput) -> Worklists {
+        let n = input.num_groups;
+        match input.schedule {
+            Schedule::Dynamic { chunk_divisor } => {
+                let gpu_chunk = (n / chunk_divisor.max(1)).max(1);
+                Worklists { cpu: 0, gpu: 0, shared: n, gpu_chunk }
+            }
+            // Pull-based: every CU is its own agent pulling one group at a
+            // time off the shared worklist.
+            Schedule::DynamicPull => Worklists { cpu: 0, gpu: 0, shared: n, gpu_chunk: 1 },
+            Schedule::Static { cpu_fraction } => {
+                let mut cpu = (n as f64 * cpu_fraction.clamp(0.0, 1.0)).round() as usize;
+                if input.gpu.is_none() {
+                    cpu = n;
+                }
+                if input.cpu_cores == 0 {
+                    cpu = 0;
+                }
+                Worklists { cpu, gpu: n - cpu, shared: 0, gpu_chunk: (n - cpu).max(1) }
+            }
+        }
+    }
+}
+
+/// The input contract both loops panic on.
+fn check_devices(input: &DesInput) {
+    assert!(
+        input.cpu_cores == 0 || input.cpu_cost.is_some(),
+        "cpu_cores > 0 requires cpu_cost"
+    );
+    assert!(
+        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
+        "no device enabled"
+    );
+}
+
 const EPS: f64 = 1e-15;
 
-/// Run the discrete-event simulation with no injected faults.
-///
-/// Dispatches to the batched fast path when [`fast_path_applies`]; the
-/// result honours the fast-path equivalence contract (identical group
-/// assignment, `time_s` within 1e-9 relative of [`run_des_exact`]).
-///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des(input: &DesInput) -> DesReport {
-    run_des_with_faults(input, &FaultPlan::none())
+/// Time to drain `rem_bytes` at `rate` bytes/s: zero when nothing is left,
+/// unbounded when the agent gets no bandwidth.
+fn mem_time(rem_bytes: f64, rate: f64) -> f64 {
+    if rem_bytes > EPS {
+        if rate > EPS { rem_bytes / rate } else { f64::INFINITY }
+    } else {
+        0.0
+    }
 }
 
-/// Run the simulation under a [`FaultPlan`], taking the batched fast path
-/// whenever the plan cannot perturb the event loop (see
-/// [`fast_path_applies`]); otherwise falls back to
-/// [`run_des_exact_with_faults`].
+/// Run the discrete-event simulation under a [`FaultPlan`] with an
+/// optional per-dispatch **launch deadline** (seconds, measured from the
+/// instant an agent claims work; see [`run_des_exact`] for what faults and
+/// deadlines do). Non-finite or non-positive deadlines are ignored.
+///
+/// Takes the batched fast path when [`fast_path_applies`] and the run fits
+/// the deadline, otherwise the exact loop. The result honours the fast-path
+/// equivalence contract: identical group assignment, `time_s` within 1e-9
+/// relative of [`run_des_exact`].
 ///
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des_with_faults(input: &DesInput, plan: &FaultPlan) -> DesReport {
-    run_des_supervised(input, plan, None)
-}
-
-/// Run the simulation under a [`FaultPlan`] with an optional per-dispatch
-/// **launch deadline** (seconds, measured from the instant an agent claims
-/// work). A dispatch still pending when its deadline passes is treated as
-/// a straggler: its work-groups are reclaimed into a re-dispatch pool that
-/// surviving agents drain after their own worklists — GPU stragglers land
-/// on the CPU pull worklist and vice versa — without waiting for the
-/// watchdog's hang-only reclaim. Completions of reclaimed groups are
-/// reported in [`DesReport::redispatched_groups`]. Non-finite or
-/// non-positive deadlines are ignored.
-///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des_supervised(
-    input: &DesInput,
-    plan: &FaultPlan,
-    deadline_s: Option<f64>,
-) -> DesReport {
+pub fn run_des(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> DesReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
     if fast_path_applies(input, plan) {
         let report = run_des_fast(input);
@@ -217,25 +269,20 @@ pub fn run_des_supervised(
             _ => return report,
         }
     }
-    run_des_exact_supervised(input, plan, deadline_s)
+    run_des_exact(input, plan, deadline_s)
 }
 
-/// Whether [`run_des_with_faults`] may use the batched fast path: the run
-/// must be fault-free (every group shares one unperturbed [`GroupCost`])
-/// and use a push schedule — [`Schedule::DynamicPull`]'s per-CU agents
-/// need the general event loop.
+/// Whether [`run_des`] may use the batched fast path: the run must be
+/// fault-free (every group shares one unperturbed [`GroupCost`]) and use a
+/// push schedule — [`Schedule::DynamicPull`]'s per-CU agents need the
+/// general event loop.
 pub fn fast_path_applies(input: &DesInput, plan: &FaultPlan) -> bool {
     !plan.affects_des() && !matches!(input.schedule, Schedule::DynamicPull)
 }
 
-/// Run the exact per-agent event loop with no injected faults. Kept
-/// public as the reference implementation the fast path is verified
-/// against (see `tests/perf_equivalence.rs`).
-pub fn run_des_exact(input: &DesInput) -> DesReport {
-    run_des_exact_with_faults(input, &FaultPlan::none())
-}
-
-/// Run the exact discrete-event simulation under a [`FaultPlan`].
+/// The exact per-agent event loop: the reference the fast path is verified
+/// against (`tests/perf_equivalence.rs`) and the general case behind
+/// [`run_des`].
 ///
 /// Recovery semantics: when an agent hangs (a GPU dispatch that never
 /// completes, or a CPU core stalling mid-group), a watchdog fires
@@ -247,121 +294,44 @@ pub fn run_des_exact(input: &DesInput) -> DesReport {
 /// work outstanding does the run give up, reporting the remainder in
 /// [`DesReport::lost_groups`].
 ///
-/// # Panics
-/// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
-/// disabled with work remaining.
-pub fn run_des_exact_with_faults(input: &DesInput, plan: &FaultPlan) -> DesReport {
-    run_des_exact_supervised(input, plan, None)
-}
-
-/// The exact event loop with an optional launch deadline — the
-/// general-case implementation behind [`run_des_supervised`].
+/// Deadline semantics: a dispatch still pending when `deadline_s` passes
+/// is a straggler. Its work-groups are reclaimed into a re-dispatch pool
+/// that surviving agents drain after their own worklists — GPU stragglers
+/// land on the CPU pull worklist and vice versa — without waiting for the
+/// watchdog's hang-only reclaim, and the straggler is retired. Those
+/// completions are reported in [`DesReport::redispatched_groups`].
+/// Non-finite or non-positive deadlines are ignored.
 ///
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des_exact_supervised(
-    input: &DesInput,
-    plan: &FaultPlan,
-    deadline_s: Option<f64>,
-) -> DesReport {
+pub fn run_des_exact(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> DesReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
-    assert!(
-        input.cpu_cores == 0 || input.cpu_cost.is_some(),
-        "cpu_cores > 0 requires cpu_cost"
-    );
-    assert!(
-        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
-        "no device enabled"
-    );
-
-    // Split the worklist according to the schedule.
-    let (mut cpu_pool, mut gpu_pool, shared) = match input.schedule {
-        Schedule::Dynamic { .. } | Schedule::DynamicPull => (0usize, 0usize, input.num_groups),
-        Schedule::Static { cpu_fraction } => {
-            let f = cpu_fraction.clamp(0.0, 1.0);
-            let mut cpu = (input.num_groups as f64 * f).round() as usize;
-            if input.gpu.is_none() {
-                cpu = input.num_groups;
-            }
-            if input.cpu_cores == 0 {
-                cpu = 0;
-            }
-            (cpu, input.num_groups - cpu, 0usize)
-        }
-    };
+    check_devices(input);
+    let Worklists { cpu: mut cpu_pool, gpu: mut gpu_pool, shared, gpu_chunk } =
+        Worklists::split(input);
     let mut shared_pool = shared;
-
     let per_cu_pull = matches!(input.schedule, Schedule::DynamicPull);
-    let gpu_chunk = match input.schedule {
-        Schedule::Dynamic { chunk_divisor } => {
-            (input.num_groups / chunk_divisor.max(1)).max(1)
-        }
-        // Pull-based: every CU is its own agent pulling one group at a
-        // time off the shared worklist.
-        Schedule::DynamicPull => 1,
-        Schedule::Static { .. } => gpu_pool.max(1),
-    };
 
     let watchdog_s = plan.watchdog_timeout();
-    let mut agents: Vec<Agent> = Vec::new();
-    for core in 0..input.cpu_cores {
-        agents.push(Agent {
-            is_gpu: false,
-            cost: input.cpu_cost.unwrap(),
-            state: State::Idle,
-            groups_done: 0,
-            recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-            busy_s: 0.0,
-            launched: false,
-            dispatches: 0,
-            hang_eligible: false,
+    let mut agents: Vec<Agent> = (0..input.cpu_cores)
+        .map(|core| Agent {
             slowdown: plan.slowdown_for(core),
             stall_at: plan.stall_for(core),
-        });
-    }
-    let gpu_index = agents.len();
+            ..Agent::idle(false, input.cpu_cost.unwrap())
+        })
+        .collect();
     if let Some(g) = input.gpu {
         if per_cu_pull {
             // One agent per CU, each owning an equal share of the device's
             // bandwidth ceiling (the water-filling redistributes slack).
             let mut cost = g.cost;
             cost.bw_cap_gbs /= g.cus as f64;
-            for cu in 0..g.cus {
-                agents.push(Agent {
-                    is_gpu: true,
-                    cost,
-                    state: State::Idle,
-                    groups_done: 0,
-                    recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-                    busy_s: 0.0,
-                    launched: false,
-                    dispatches: 0,
-                    hang_eligible: cu == 0,
-                    slowdown: 1.0,
-                    stall_at: None,
-                });
-            }
+            agents.extend(
+                (0..g.cus).map(|cu| Agent { hang_eligible: cu == 0, ..Agent::idle(true, cost) }),
+            );
         } else {
-            agents.push(Agent {
-                is_gpu: true,
-                cost: g.cost,
-                state: State::Idle,
-                groups_done: 0,
-                recovered_done: 0,
-            redispatched_done: 0,
-            deadline_at: None,
-                busy_s: 0.0,
-                launched: false,
-                dispatches: 0,
-                hang_eligible: true,
-                slowdown: 1.0,
-                stall_at: None,
-            });
+            agents.push(Agent { hang_eligible: true, ..Agent::idle(true, g.cost) });
         }
     }
 
@@ -453,7 +423,7 @@ pub fn run_des_exact_supervised(
         // 1. Hand out work to idle agents. `Done` agents are revivable:
         //    watchdog reclaims can refill the recovery pool after an agent
         //    ran out of first-hand work.
-        for (i, agent) in agents.iter_mut().enumerate() {
+        for agent in agents.iter_mut() {
             if !matches!(agent.state, State::Idle | State::Done) {
                 continue;
             }
@@ -493,7 +463,6 @@ pub fn run_des_exact_supervised(
                 agent.launched = true;
                 agent.state =
                     State::Latency { remaining_s: latency, pending_groups: take, source };
-                let _ = i;
             } else {
                 let pool = if shared > 0 { &mut shared_pool } else { &mut cpu_pool };
                 let (pool, source) = if *pool > 0 {
@@ -559,16 +528,7 @@ pub fn run_des_exact_supervised(
             let t = match agent.state {
                 State::Latency { remaining_s, .. } => remaining_s,
                 State::Busy { rem_compute_s, rem_bytes, .. } => {
-                    let t_mem = if rem_bytes > EPS {
-                        if rates[i] > EPS {
-                            rem_bytes / rates[i]
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        0.0
-                    };
-                    rem_compute_s.max(t_mem)
+                    rem_compute_s.max(mem_time(rem_bytes, rates[i]))
                 }
                 State::Hung { deadline_s, .. } => deadline_s - time,
                 _ => f64::INFINITY,
@@ -651,7 +611,6 @@ pub fn run_des_exact_supervised(
     if lost_groups > 0 {
         degraded = true;
     }
-    let _ = gpu_index;
 
     DesReport {
         time_s: time,
@@ -702,40 +661,10 @@ enum FastGpu {
 /// contract 1e-9) because the exact loop resolves floating-point residue
 /// in extra micro-events the batch folds away.
 fn run_des_fast(input: &DesInput) -> DesReport {
-    assert!(
-        input.cpu_cores == 0 || input.cpu_cost.is_some(),
-        "cpu_cores > 0 requires cpu_cost"
-    );
-    assert!(
-        input.cpu_cores > 0 || input.gpu.is_some() || input.num_groups == 0,
-        "no device enabled"
-    );
-
-    // Worklist split: identical to the exact path.
-    let (mut cpu_pool, mut gpu_pool, shared) = match input.schedule {
-        Schedule::Dynamic { .. } => (0usize, 0usize, input.num_groups),
-        Schedule::Static { cpu_fraction } => {
-            let f = cpu_fraction.clamp(0.0, 1.0);
-            let mut cpu = (input.num_groups as f64 * f).round() as usize;
-            if input.gpu.is_none() {
-                cpu = input.num_groups;
-            }
-            if input.cpu_cores == 0 {
-                cpu = 0;
-            }
-            (cpu, input.num_groups - cpu, 0usize)
-        }
-        Schedule::DynamicPull => unreachable!("pull mode always takes the exact path"),
-    };
+    check_devices(input);
+    let Worklists { cpu: mut cpu_pool, gpu: mut gpu_pool, shared, gpu_chunk } =
+        Worklists::split(input);
     let mut shared_pool = shared;
-
-    let gpu_chunk = match input.schedule {
-        Schedule::Dynamic { chunk_divisor } => {
-            (input.num_groups / chunk_divisor.max(1)).max(1)
-        }
-        Schedule::Static { .. } => gpu_pool.max(1),
-        Schedule::DynamicPull => unreachable!(),
-    };
 
     let total_bw = input.dram_bw_gbs * 1e9;
     let cpu_cap = input
@@ -845,12 +774,7 @@ fn run_des_fast(input: &DesInput) -> DesReport {
         //     depletion (which would re-rate the cores) or completion.
         if let Some(b) = cpu_run {
             if b.fresh && b.claiming == cpu_running {
-                let t_mem = if b.rem_bytes > EPS {
-                    if r_cpu > EPS { b.rem_bytes / r_cpu } else { f64::INFINITY }
-                } else {
-                    0.0
-                };
-                let t_full = b.rem_compute_s.max(t_mem);
+                let t_full = b.rem_compute_s.max(mem_time(b.rem_bytes, r_cpu));
                 if t_full.is_finite() {
                     let fits = |adv: f64| -> bool {
                         match &gpu_state {
@@ -950,15 +874,7 @@ fn run_des_fast(input: &DesInput) -> DesReport {
                     let waves = (gpu_chunk as f64 / params.cus as f64).ceil();
                     let bytes = params.cost.dram_bytes * gpu_chunk as f64;
                     let r_alone = gpu_cap.min(total_bw);
-                    let t_busy = if bytes > EPS {
-                        if r_alone > EPS {
-                            (params.cost.compute_s * waves).max(bytes / r_alone)
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        params.cost.compute_s * waves
-                    };
+                    let t_busy = (params.cost.compute_s * waves).max(mem_time(bytes, r_alone));
                     assert!(t_busy.is_finite(), "deadlock: busy agents cannot progress");
                     let m = 1 + extra_chunks;
                     *pool -= extra_chunks * gpu_chunk;
@@ -977,22 +893,12 @@ fn run_des_fast(input: &DesInput) -> DesReport {
         //    CPU-first at handout) reproduce the exact trajectory.
         let mut dt = f64::INFINITY;
         if let Some(b) = &cpu_run {
-            let t_mem = if b.rem_bytes > EPS {
-                if r_cpu > EPS { b.rem_bytes / r_cpu } else { f64::INFINITY }
-            } else {
-                0.0
-            };
-            dt = dt.min(b.rem_compute_s.max(t_mem));
+            dt = dt.min(b.rem_compute_s.max(mem_time(b.rem_bytes, r_cpu)));
         }
         match &gpu_state {
             FastGpu::Latency { remaining_s, .. } => dt = dt.min(*remaining_s),
             FastGpu::Busy { rem_compute_s, rem_bytes, .. } => {
-                let t_mem = if *rem_bytes > EPS {
-                    if r_gpu > EPS { rem_bytes / r_gpu } else { f64::INFINITY }
-                } else {
-                    0.0
-                };
-                dt = dt.min(rem_compute_s.max(t_mem));
+                dt = dt.min(rem_compute_s.max(mem_time(*rem_bytes, r_gpu)));
             }
             _ => {}
         }
@@ -1080,6 +986,11 @@ mod tests {
         GpuAgentParams { cost, cus, launch_latency_s: 0.0 }
     }
 
+    /// A fault-free run without a deadline.
+    fn run(input: &DesInput) -> DesReport {
+        run_des(input, &FaultPlan::none(), None)
+    }
+
     #[test]
     fn cpu_only_compute_bound_scales_with_cores() {
         // 100 groups x 1 ms compute, no memory: 4 cores → 25 ms.
@@ -1091,7 +1002,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 0.025).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.cpu_groups, 100);
         assert_eq!(r.gpu_groups, 0);
@@ -1109,7 +1020,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 0.01).abs() < 1e-6, "time {}", r.time_s);
         assert!((r.dram_bytes - 150e6).abs() < 1.0);
     }
@@ -1125,7 +1036,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 1.0).abs() < 1e-9, "time {}", r.time_s);
     }
 
@@ -1139,7 +1050,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 2.0).abs() < 1e-9);
     }
 
@@ -1160,7 +1071,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 0.02).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.gpu_groups, 100);
     }
@@ -1177,7 +1088,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 10.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 2.0).abs() < 1e-6, "time {}", r.time_s);
     }
 
@@ -1195,7 +1106,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.5 },
             dram_bw_gbs: 10.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         // A: 2 GB at 2 GB/s = 1 s. B: 16 GB at 8 GB/s while A active...
         // after A finishes B gets min(20, 10) = 10 GB/s for the remaining
         // 8 GB: 1 s + 0.8 s = 1.8 s? B transfers 8 GB in the first second,
@@ -1215,7 +1126,7 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 110 }, // chunk = 1
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!(r.gpu_groups > 90, "gpu took {}", r.gpu_groups);
         // Makespan near the ideal 100 ms / (1 + 10) x ... ideal = 110
         // groups / (100 + 1000 groups/s) = 0.1 s.
@@ -1233,7 +1144,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.5 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 0.55).abs() < 1e-6, "time {}", r.time_s); // 55 groups x 10 ms
     }
 
@@ -1253,7 +1164,7 @@ mod tests {
             schedule: Schedule::DynamicPull,
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert!((r.time_s - 2.5e-3).abs() < 1e-9, "time {}", r.time_s);
         assert_eq!(r.gpu_groups, 16);
     }
@@ -1261,7 +1172,7 @@ mod tests {
     #[test]
     fn dynamic_pull_pays_latency_once() {
         // Same as above but with many rounds: latency must not repeat.
-        let one_round = run_des(&DesInput {
+        let one_round = run(&DesInput {
             num_groups: 8,
             cpu_cores: 0,
             cpu_cost: None,
@@ -1273,7 +1184,7 @@ mod tests {
             schedule: Schedule::DynamicPull,
             dram_bw_gbs: 15.0,
         });
-        let four_rounds = run_des(&DesInput {
+        let four_rounds = run(&DesInput {
             num_groups: 32,
             cpu_cores: 0,
             cpu_cost: None,
@@ -1308,8 +1219,8 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 4 }, // chunk = 10
             dram_bw_gbs: 15.0,
         };
-        let push = run_des(&base);
-        let pull = run_des(&DesInput { schedule: Schedule::DynamicPull, ..base });
+        let push = run(&base);
+        let pull = run(&DesInput { schedule: Schedule::DynamicPull, ..base });
         assert!(
             pull.time_s < push.time_s,
             "pull {} should beat coarse push {}",
@@ -1328,13 +1239,13 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des(&input);
+        let r = run(&input);
         assert_eq!(r.time_s, 0.0);
         assert_eq!(r.cpu_groups + r.gpu_groups, 0);
     }
 
     #[test]
-    fn empty_fault_plan_matches_plain_run() {
+    fn empty_fault_plan_is_a_healthy_run() {
         let input = DesInput {
             num_groups: 64,
             cpu_cores: 4,
@@ -1343,12 +1254,12 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let faulted = run_des_with_faults(&input, &FaultPlan::none());
-        assert_eq!(plain, faulted);
-        assert_eq!(plain.recovered_groups, 0);
-        assert_eq!(plain.watchdog_fires, 0);
-        assert!(!plain.degraded);
+        for r in [run(&input), run_des_exact(&input, &FaultPlan::none(), None)] {
+            assert_eq!(r.cpu_groups + r.gpu_groups, 64);
+            assert_eq!(r.recovered_groups, 0);
+            assert_eq!(r.watchdog_fires, 0);
+            assert!(!r.degraded);
+        }
     }
 
     #[test]
@@ -1372,14 +1283,14 @@ mod tests {
             watchdog_timeout_s: Some(5e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.gpu_groups, 10, "only the first dispatch completes");
         assert_eq!(r.recovered_groups, 10, "the hung chunk is re-executed");
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 100);
         assert_eq!(r.lost_groups, 0);
         assert_eq!(r.watchdog_fires, 1);
         assert!(r.degraded);
-        let healthy = run_des(&input);
+        let healthy = run(&input);
         assert!(r.time_s > healthy.time_s, "recovery costs time");
     }
 
@@ -1398,7 +1309,7 @@ mod tests {
             watchdog_timeout_s: Some(2e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         // The GPU's single dispatch held its whole 20-group half.
         assert_eq!(r.gpu_groups, 0);
         assert_eq!(r.recovered_groups, 20);
@@ -1424,7 +1335,7 @@ mod tests {
             watchdog_timeout_s: Some(1e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 10);
         assert_eq!(r.recovered_groups, 1, "the in-flight group is re-run");
         assert_eq!(r.watchdog_fires, 1);
@@ -1441,12 +1352,12 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 100 },
             dram_bw_gbs: 15.0,
         };
-        let healthy = run_des(&input);
+        let healthy = run(&input);
         let plan = FaultPlan {
             core_slowdowns: vec![CoreSlowdown { core: 0, factor: 4.0 }],
             ..FaultPlan::default()
         };
-        let slow = run_des_with_faults(&input, &plan);
+        let slow = run_des(&input, &plan, None);
         assert!(slow.cpu_groups < healthy.cpu_groups, "slow core claims less");
         assert_eq!(slow.cpu_groups + slow.gpu_groups, 100);
         assert!(!slow.degraded, "a slowdown loses time, not capacity");
@@ -1470,11 +1381,11 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 100 },
             dram_bw_gbs: 15.0,
         };
-        let dynamic = run_des_with_faults(&base, &plan);
+        let dynamic = run_des(&base, &plan, None);
         // The static split that was fair for healthy devices: half each.
         let static_input =
             DesInput { schedule: Schedule::Static { cpu_fraction: 0.5 }, ..base };
-        let stat = run_des_with_faults(&static_input, &plan);
+        let stat = run_des(&static_input, &plan, None);
         assert_eq!(dynamic.cpu_groups + dynamic.gpu_groups, 100);
         assert_eq!(stat.cpu_groups + stat.gpu_groups, 100);
         assert!(
@@ -1501,7 +1412,7 @@ mod tests {
             watchdog_timeout_s: Some(1e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.gpu_groups, 0);
         assert_eq!(r.lost_groups, 50, "hung chunk plus the untouched pool");
         assert!(r.degraded);
@@ -1525,7 +1436,7 @@ mod tests {
             core_stalls: vec![CoreStall { core: 1, at_s: 0.0 }],
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups, 20);
         assert_eq!(r.recovered_groups, 0);
         assert_eq!(r.watchdog_fires, 0);
@@ -1553,7 +1464,7 @@ mod tests {
             watchdog_timeout_s: Some(2e-3),
             ..FaultPlan::default()
         };
-        let r = run_des_with_faults(&input, &plan);
+        let r = run_des(&input, &plan, None);
         assert_eq!(r.cpu_groups + r.gpu_groups + r.recovered_groups, 16);
         assert_eq!(r.recovered_groups, 1, "pull agents hold one group each");
         assert_eq!(r.watchdog_fires, 1);
@@ -1582,7 +1493,7 @@ mod tests {
             watchdog_timeout_s: Some(1.0),
             ..FaultPlan::default()
         };
-        let with_deadline = run_des_supervised(&input, &plan, Some(5e-3));
+        let with_deadline = run_des(&input, &plan, Some(5e-3));
         assert_eq!(with_deadline.watchdog_fires, 0, "deadline preempts the watchdog");
         assert_eq!(with_deadline.redispatched_groups, 10);
         assert_eq!(with_deadline.recovered_groups, 0);
@@ -1596,7 +1507,7 @@ mod tests {
         assert!(with_deadline.gpu_faulted);
         assert!(!with_deadline.cpu_faulted);
         assert!(with_deadline.degraded);
-        let watchdog_only = run_des_supervised(&input, &plan, None);
+        let watchdog_only = run_des(&input, &plan, None);
         assert!(
             with_deadline.time_s < watchdog_only.time_s,
             "deadline reclaim {} must beat the 1 s watchdog {}",
@@ -1621,7 +1532,7 @@ mod tests {
             core_slowdowns: vec![CoreSlowdown { core: 0, factor: 20.0 }],
             ..FaultPlan::default()
         };
-        let r = run_des_supervised(&input, &plan, Some(5e-3));
+        let r = run_des(&input, &plan, Some(5e-3));
         assert_eq!(r.redispatched_groups, 1, "the in-flight CPU group moves to the GPU");
         assert_eq!(
             r.cpu_groups + r.gpu_groups + r.recovered_groups + r.redispatched_groups,
@@ -1643,8 +1554,8 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let supervised = run_des_supervised(&input, &FaultPlan::none(), Some(1e3));
+        let plain = run(&input);
+        let supervised = run_des(&input, &FaultPlan::none(), Some(1e3));
         assert_eq!(plain, supervised);
         assert_eq!(supervised.redispatched_groups, 0);
         assert!(!supervised.cpu_faulted && !supervised.gpu_faulted);
@@ -1663,8 +1574,8 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
-        let supervised = run_des_supervised(&input, &FaultPlan::none(), Some(5e-3));
+        let plain = run(&input);
+        let supervised = run_des(&input, &FaultPlan::none(), Some(5e-3));
         assert_eq!(supervised.redispatched_groups, 0);
         assert_eq!(supervised.cpu_groups, 100);
         assert!(!supervised.degraded);
@@ -1683,7 +1594,7 @@ mod tests {
             schedule: Schedule::Static { cpu_fraction: 0.0 },
             dram_bw_gbs: 15.0,
         };
-        let r = run_des_supervised(&input, &FaultPlan::none(), Some(1e-3));
+        let r = run_des(&input, &FaultPlan::none(), Some(1e-3));
         assert_eq!(r.lost_groups, 10);
         assert_eq!(r.redispatched_groups, 0);
         assert!(r.gpu_faulted);
@@ -1700,9 +1611,9 @@ mod tests {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: 15.0,
         };
-        let plain = run_des(&input);
+        let plain = run(&input);
         for bad in [0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
-            let r = run_des_supervised(&input, &FaultPlan::none(), Some(bad));
+            let r = run_des(&input, &FaultPlan::none(), Some(bad));
             assert_eq!(r, plain, "deadline {} must be ignored", bad);
         }
     }
@@ -1725,7 +1636,7 @@ mod tests {
                     schedule,
                     dram_bw_gbs: 15.0,
                 };
-                let r = run_des(&input);
+                let r = run(&input);
                 assert_eq!(r.cpu_groups + r.gpu_groups, 64, "{:?}", input.schedule);
             }
         }

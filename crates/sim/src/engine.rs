@@ -144,7 +144,7 @@ impl Engine {
 
     /// [`Engine::simulate`] under a [`FaultPlan`]: injected hangs, stalls
     /// and slowdowns play out with watchdog-driven recovery (see
-    /// [`des::run_des_with_faults`]). An empty plan is bit-identical to
+    /// [`des::run_des_exact`]). An empty plan is bit-identical to
     /// `simulate`.
     pub fn simulate_with_faults(
         &self,
@@ -161,8 +161,9 @@ impl Engine {
     /// [`Engine::simulate_with_faults`] with an optional per-dispatch
     /// launch deadline (seconds): dispatches still pending past the
     /// deadline are reclaimed and re-dispatched onto the surviving device
-    /// (see [`des::run_des_supervised`]). `None` is bit-identical to
-    /// `simulate_with_faults`.
+    /// (see [`des::run_des_exact`]). `None` is bit-identical to
+    /// `simulate_with_faults`. Runs [`des::run_des`], or the exact loop
+    /// alone when [`Engine::exact_des_only`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_supervised(
         &self,
@@ -215,9 +216,9 @@ impl Engine {
             dram_bw_gbs: self.platform.mem.dram_bw_gbs,
         };
         let r = if self.exact_des_only {
-            des::run_des_exact_supervised(&input, plan, deadline_s)
+            des::run_des_exact(&input, plan, deadline_s)
         } else {
-            des::run_des_supervised(&input, plan, deadline_s)
+            des::run_des(&input, plan, deadline_s)
         };
         SimReport {
             time_s: r.time_s,

@@ -45,8 +45,8 @@ pub struct CoreSlowdown {
 
 /// Everything that goes wrong during one launch.
 ///
-/// The default plan is empty (no faults); [`crate::des::run_des`] is
-/// exactly `run_des_with_faults` under an empty plan.
+/// The default plan is empty (no faults); [`crate::des::run_des`] under
+/// an empty plan and no deadline is a healthy run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Hang the k-th (0-based) GPU chunk dispatch: the dispatch claims its

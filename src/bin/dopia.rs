@@ -413,9 +413,10 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
         Ok(event) => event.result,
         Err(e) => return fail(e),
     };
-    println!("\ndecision : {} CPU cores + {}/8 GPU ({} µs inference)",
+    println!("\ndecision : {} CPU cores + {}/8 GPU ({}) ({} µs inference)",
         result.selection.point.cpu_cores,
         result.selection.point.gpu_eighths,
+        result.source.name(),
         (result.selection.inference_s * 1e6).round());
     println!(
         "execution: {:.3} ms simulated ({} groups CPU / {} GPU, {:.2}M memory requests)",

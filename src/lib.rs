@@ -57,8 +57,8 @@ pub use workloads;
 pub mod prelude {
     pub use crate::core::{
         baselines::{self, Baseline},
-        config_space, oracle, training, BreakerState, CodeFeatures, CommandQueue, DegradedMode,
-        Dopia, DopiaError, DopPoint, FeatureVector, LaunchResult, PerfModel, Program,
+        config_space, oracle, training, BreakerState, CodeFeatures, CommandQueue, DecisionSource,
+        DegradedMode, Dopia, DopiaError, DopPoint, FeatureVector, LaunchResult, PerfModel, Program,
         QueueSummary, RuntimeHealth, SupervisionConfig, SupervisionStats, TrainingOptions,
     };
     pub use ml::ModelKind;

@@ -24,8 +24,8 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 fn assert_equivalent(input: &DesInput) {
-    let exact = run_des_exact(input);
-    let fast = run_des(input);
+    let exact = run_des_exact(input, &FaultPlan::none(), None);
+    let fast = run_des(input, &FaultPlan::none(), None);
     assert_eq!(fast.cpu_groups, exact.cpu_groups, "cpu_groups {:?}", input.schedule);
     assert_eq!(fast.gpu_groups, exact.gpu_groups, "gpu_groups {:?}", input.schedule);
     assert!(
@@ -159,8 +159,8 @@ fn non_fast_inputs_fall_back_to_the_exact_loop() {
     };
     let none = FaultPlan::none();
     assert!(!fast_path_applies(&input, &none));
-    let exact = run_des_exact(&input);
-    let dispatched = run_des(&input);
+    let exact = run_des_exact(&input, &none, None);
+    let dispatched = run_des(&input, &none, None);
     assert_eq!(dispatched, exact, "DynamicPull must be bit-identical");
 
     input.schedule = Schedule::Dynamic { chunk_divisor: 10 };

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sim::cost::{cpu_group_cost, gpu_group_cost, GroupCost, ModelConstants};
-use sim::des::{run_des, run_des_supervised, DesInput, GpuAgentParams, Schedule};
+use sim::des::{run_des, DesInput, GpuAgentParams, Schedule};
 use sim::profile::{AccessClass, KernelProfile, SiteProfile};
 use sim::{CoreSlowdown, CoreStall, FaultPlan, NdRange, PlatformConfig};
 
@@ -84,7 +84,7 @@ proptest! {
             schedule,
             dram_bw_gbs: bw,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         prop_assert_eq!(r.cpu_groups + r.gpu_groups, num_groups);
         prop_assert!(r.time_s.is_finite() && r.time_s >= 0.0);
         prop_assert!(r.dram_bytes >= 0.0);
@@ -107,7 +107,7 @@ proptest! {
             schedule: Schedule::Dynamic { chunk_divisor: 10 },
             dram_bw_gbs: bw,
         };
-        let r = run_des(&input);
+        let r = run_des(&input, &FaultPlan::none(), None);
         let compute_bound =
             num_groups as f64 * cpu_cost.compute_s / cpu_cores as f64;
         let bytes_total = num_groups as f64 * cpu_cost.dram_bytes;
@@ -148,7 +148,7 @@ proptest! {
                 gpu: None,
                 schedule: Schedule::Dynamic { chunk_divisor: 10 },
                 dram_bw_gbs: bw,
-            })
+            }, &FaultPlan::none(), None)
             .time_s
         };
         // Compute-bound: strict monotonicity.
@@ -195,7 +195,7 @@ proptest! {
             schedule,
             dram_bw_gbs: bw,
         };
-        let r = run_des_supervised(&input, &plan, deadline);
+        let r = run_des(&input, &plan, deadline);
         prop_assert_eq!(
             r.cpu_groups + r.gpu_groups + r.recovered_groups + r.redispatched_groups
                 + r.lost_groups,
@@ -205,7 +205,7 @@ proptest! {
         );
         prop_assert!(r.time_s.is_finite() && r.time_s >= 0.0);
         prop_assert!(r.dram_bytes >= 0.0);
-        let again = run_des_supervised(&input, &plan, deadline);
+        let again = run_des(&input, &plan, deadline);
         prop_assert_eq!(r, again);
     }
 
@@ -226,7 +226,10 @@ proptest! {
             schedule,
             dram_bw_gbs: 15.0,
         };
-        prop_assert_eq!(run_des(&input), run_des(&input));
+        prop_assert_eq!(
+            run_des(&input, &FaultPlan::none(), None),
+            run_des(&input, &FaultPlan::none(), None)
+        );
     }
 }
 

@@ -104,7 +104,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
         let r = dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
             .unwrap();
-        assert_eq!(r.health.breaker_pinned_launches, 1);
+        assert_eq!(r.source, DecisionSource::Pinned);
         assert_eq!(r.report.lost_groups, 0, "pinned launches lose nothing");
         assert_eq!(r.report.cpu_groups, total, "all work on the CPU");
         assert_eq!(r.report.gpu_groups, 0);
@@ -118,7 +118,11 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     let probe = dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
         .unwrap();
-    assert_eq!(probe.health.breaker_pinned_launches, 0, "probe runs the model's pick");
+    assert!(
+        matches!(probe.source, DecisionSource::CacheHit | DecisionSource::CacheMiss),
+        "probe runs the model's pick, not {:?}",
+        probe.source
+    );
     assert!(probe.report.gpu_faulted);
     assert_eq!(probe.health.breaker_trips, 1, "failed probe re-trips immediately");
     assert!(matches!(
@@ -131,7 +135,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     let r = dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
         .unwrap();
-    assert_eq!(r.health.breaker_pinned_launches, 1);
+    assert_eq!(r.source, DecisionSource::Pinned);
     assert_eq!(r.report.lost_groups, 0);
 }
 
@@ -160,7 +164,7 @@ fn without_supervision_losses_continue_indefinitely() {
             i
         );
         assert_eq!(r.health.breaker_trips, 0);
-        assert_eq!(r.health.breaker_pinned_launches, 0);
+        assert_ne!(r.source, DecisionSource::Pinned);
     }
     assert_eq!(dopia.supervision_stats().breaker_trips, 0);
 }
@@ -247,7 +251,7 @@ fn wrong_model_is_quarantined_and_heuristic_takes_over() {
     let r = dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
         .unwrap();
-    assert_eq!(r.health.quarantined_launches, 1);
+    assert_eq!(r.source, DecisionSource::Quarantined);
     assert!(r.selection.fallback, "heuristic selections are flagged");
     assert!(r.selection.predicted.is_nan());
     assert_eq!(r.health.prediction_fallbacks, 0, "healing, not a broken model");
@@ -285,7 +289,7 @@ fn pinned_decisions_are_never_cached() {
         let r = dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
             .unwrap();
-        assert_eq!(r.health.breaker_pinned_launches, 1);
+        assert_eq!(r.source, DecisionSource::Pinned);
     }
     let cache_after = dopia.cache_stats();
     assert_eq!(cache_after.hits, cache_before.hits, "pinned launches bypass the cache");
@@ -298,7 +302,7 @@ fn pinned_decisions_are_never_cached() {
     let probe = dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
         .unwrap();
-    assert_eq!(probe.health.breaker_pinned_launches, 0);
+    assert!(matches!(probe.source, DecisionSource::CacheHit | DecisionSource::CacheMiss));
     assert_eq!(probe.selection.point.cpu_cores, 0, "model's own pick is back");
     assert_eq!(probe.selection.point.gpu_eighths, 8);
     assert_eq!(probe.report.lost_groups, 0);
