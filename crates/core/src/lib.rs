@@ -77,7 +77,6 @@ pub use runtime::{
     DecisionSource, DegradedMode, Dopia, DopiaError, LaunchResult, Program, RuntimeHealth,
 };
 pub use supervision::{
-    BreakerState, CircuitBreaker, DevicePin, LaunchGuidance, MispredictionMonitor,
-    SupervisionConfig, SupervisionStats, Supervisor,
+    BreakerState, DevicePin, LaunchGuidance, SupervisionConfig, SupervisionStats, Supervisor,
 };
 pub use training::TrainingOptions;

@@ -390,8 +390,8 @@ impl Dopia {
     }
 
     /// Enable or disable the launch decision cache. Disabling does not
-    /// drop existing entries (use [`Dopia::clear_launch_cache`]); it just
-    /// routes every launch through the full profile + model sweep.
+    /// drop existing entries; it just routes every launch through the full
+    /// profile + model sweep.
     pub fn set_launch_cache_enabled(&self, enabled: bool) {
         self.cache_enabled.store(enabled, Ordering::Relaxed);
     }
@@ -411,11 +411,6 @@ impl Dopia {
     /// [`Memory::resize`] / [`Memory::rebind`].
     pub fn invalidate_buffer(&self, id: BufferId) {
         self.lock_cache().invalidate_buffer(id);
-    }
-
-    /// Drop every cached decision (counters are preserved).
-    pub fn clear_launch_cache(&self) {
-        self.lock_cache().clear();
     }
 
     /// The launch cache. A launch that panicked while holding it may have
@@ -750,6 +745,7 @@ fn nearest_config(space: &[DopPoint], cpu_util: f64, gpu_util: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervision::QUARANTINE_MIN_SAMPLES;
     use ml::ModelKind;
 
     /// Training dominates these tests; share one runtime across the module.
@@ -1007,9 +1003,12 @@ mod tests {
                 assert_eq!(launch(&dopia, &mut mem).health.breaker_trips, 1);
             }
             DecisionSource::Quarantined => {
-                let config = SupervisionConfig { quarantine_min_samples: 1, ..Default::default() };
-                dopia.set_supervision_config(config);
-                assert_eq!(launch(&dopia, &mut mem).health.model_quarantines, 1);
+                // Every model-driven launch is off by more than
+                // QUARANTINE_THRESHOLD, so the last scored sample quarantines.
+                let quarantines: u32 = (0..QUARANTINE_MIN_SAMPLES)
+                    .map(|_| launch(&dopia, &mut mem).health.model_quarantines)
+                    .sum();
+                assert_eq!(quarantines, 1);
             }
             DecisionSource::CacheHit => {
                 launch(&dopia, &mut mem);

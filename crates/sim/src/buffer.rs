@@ -57,11 +57,6 @@ impl Buffer {
         self.elem().size_bytes()
     }
 
-    /// True for virtual (storage-less) buffers.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Buffer::VirtualF32 { .. })
-    }
-
     /// Load element `idx` as f64 (ints widen, floats widen losslessly).
     ///
     /// # Panics

@@ -40,7 +40,7 @@ impl DopConfig {
 }
 
 /// Simulated execution outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimReport {
     /// Kernel execution time in simulated seconds.
     pub time_s: f64,

@@ -320,15 +320,7 @@ impl CompiledKernel {
         self.code_id
     }
 
-    pub fn num_sites(&self) -> usize {
-        self.site_names.len()
-    }
-
-    /// Rendered source form of an access site, for display.
-    pub fn site_name(&self, site: u32) -> &str {
-        &self.site_names[site as usize]
-    }
-
+    /// Rendered source form of each access site, for display.
     pub fn site_names(&self) -> &[String] {
         &self.site_names
     }

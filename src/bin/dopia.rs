@@ -6,9 +6,11 @@
 //!                     [--model PATH] [--n N] [--global N[,M]] [--local N[,M]]
 //!                     [--arg name=value]... [-D name[=value]]...
 //!                     [--compare] [--show-malleable] [--show-cpu]
+//!                     [--no-launch-cache] [--no-supervision]
+//!                     [--breaker-threshold N] [--deadline-factor F]
 //!                     [--inject-gpu-hang N] [--inject-core-stall CORE@T]
 //!                     [--inject-slowdown CORE@F] [--inject-profile-failures N]
-//!                     [--watchdog-s T]
+//!                     [--inject-preset NAME] [--watchdog-s T]
 //! dopia sweep kernel.cl [same options as run]
 //! dopia inspect kernel.cl [-D name[=value]]...
 //! ```
@@ -95,9 +97,7 @@ struct Options {
     show_malleable: bool,
     show_cpu: bool,
     no_launch_cache: bool,
-    no_supervision: bool,
-    breaker_threshold: Option<u32>,
-    deadline_factor: Option<f64>,
+    supervision: SupervisionConfig,
     faults: FaultPlan,
 }
 
@@ -127,9 +127,7 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
         show_malleable: false,
         show_cpu: false,
         no_launch_cache: false,
-        no_supervision: false,
-        breaker_threshold: None,
-        deadline_factor: None,
+        supervision: SupervisionConfig::default(),
         faults: FaultPlan::none(),
     };
     let mut it = argv.iter().peekable();
@@ -166,14 +164,14 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             "--show-malleable" => opts.show_malleable = true,
             "--show-cpu" => opts.show_cpu = true,
             "--no-launch-cache" => opts.no_launch_cache = true,
-            "--no-supervision" => opts.no_supervision = true,
+            "--no-supervision" => opts.supervision.enabled = false,
             "--breaker-threshold" => {
                 let n: u32 =
                     value(&mut it, a)?.parse().map_err(|e| format!("{}: {}", a, e))?;
                 if n == 0 {
                     return Err("--breaker-threshold must be at least 1".into());
                 }
-                opts.breaker_threshold = Some(n);
+                opts.supervision.breaker_threshold = n;
             }
             "--deadline-factor" => {
                 let f: f64 =
@@ -184,7 +182,7 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
                         f
                     ));
                 }
-                opts.deadline_factor = Some(f);
+                opts.supervision.deadline_factor = f;
             }
             "--inject-preset" => {
                 let name = value(&mut it, a)?;
@@ -281,13 +279,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     if opts.no_launch_cache {
         dopia.set_launch_cache_enabled(false);
     }
-    let sup_defaults = SupervisionConfig::default();
-    dopia.set_supervision_config(SupervisionConfig {
-        enabled: !opts.no_supervision,
-        breaker_threshold: opts.breaker_threshold.unwrap_or(sup_defaults.breaker_threshold),
-        deadline_factor: opts.deadline_factor.unwrap_or(sup_defaults.deadline_factor),
-        ..sup_defaults
-    });
+    dopia.set_supervision_config(opts.supervision);
     if opts.faults != FaultPlan::none() {
         if let Some(t) = opts.faults.watchdog_timeout_s {
             if !t.is_finite() || t <= 0.0 {

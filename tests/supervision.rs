@@ -3,6 +3,7 @@
 //! model quarantine — each demonstrated against its non-supervised
 //! counterpart.
 
+use dopia::core::supervision::{BREAKER_COOLDOWN, QUARANTINE_MIN_SAMPLES};
 use dopia::core::BreakerState;
 use dopia::ml::Regressor;
 use dopia::prelude::*;
@@ -72,7 +73,6 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     let mut dopia = dopia_with(Box::new(GpuOnly));
     dopia.set_supervision_config(SupervisionConfig {
         breaker_threshold: 2,
-        breaker_cooldown: 4,
         ..SupervisionConfig::default()
     });
     dopia.set_fault_plan(FaultPlan {
@@ -100,7 +100,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     ));
 
     // Cooldown launches: pinned to the CPU's static config, zero loss.
-    for _ in 0..4 {
+    for _ in 0..BREAKER_COOLDOWN {
         let r = dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
             .unwrap();
@@ -228,17 +228,18 @@ fn wrong_model_is_quarantined_and_heuristic_takes_over() {
     let dopia = dopia_with(Box::new(Overconfident));
     let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
 
-    // Three launches of identical time: measured normalized perf is 1.0,
-    // the model says 0.01 — relative error ~0.99 every launch.
+    // QUARANTINE_MIN_SAMPLES launches of identical time: measured
+    // normalized perf is 1.0, the model says 0.01 — relative error ~0.99
+    // every launch.
     let mut quarantines = 0;
-    for _ in 0..3 {
+    for _ in 0..QUARANTINE_MIN_SAMPLES {
         let r = dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
             .unwrap();
         assert!(!r.selection.fallback, "predictions are valid, just wrong");
         quarantines += r.health.model_quarantines;
     }
-    assert_eq!(quarantines, 1, "quarantine within quarantine_min_samples launches");
+    assert_eq!(quarantines, 1, "quarantine within QUARANTINE_MIN_SAMPLES launches");
     assert_eq!(dopia.supervision_stats().quarantined_kernels, 1);
     assert!(
         dopia.cache_stats().invalidations >= 1,
@@ -269,7 +270,6 @@ fn pinned_decisions_are_never_cached() {
     let mut dopia = dopia_with(Box::new(GpuOnly));
     dopia.set_supervision_config(SupervisionConfig {
         breaker_threshold: 1,
-        breaker_cooldown: 2,
         ..SupervisionConfig::default()
     });
     dopia.set_fault_plan(FaultPlan {
@@ -285,7 +285,7 @@ fn pinned_decisions_are_never_cached() {
         .unwrap();
     assert_eq!(r.health.breaker_trips, 1);
     let cache_before = dopia.cache_stats();
-    for _ in 0..2 {
+    for _ in 0..BREAKER_COOLDOWN {
         let r = dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
             .unwrap();
@@ -316,7 +316,6 @@ fn queue_summary_aggregates_supervision_counters() {
     let mut dopia = dopia_with(Box::new(GpuOnly));
     dopia.set_supervision_config(SupervisionConfig {
         breaker_threshold: 2,
-        breaker_cooldown: 8,
         ..SupervisionConfig::default()
     });
     dopia.set_fault_plan(FaultPlan {
