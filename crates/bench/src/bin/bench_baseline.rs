@@ -7,10 +7,18 @@
 //! cost into a full cache vs an empty one (acceptance floor: ≤ 4×, so an
 //! evicting insert cannot scan the cache).
 //!
+//! Each run also appends one line to `results/BENCH_history.jsonl`: the
+//! git revision and, for each of the five ratios, the median and
+//! interquartile range of the per-repetition ratios (repetition `i` of the
+//! numerator over repetition `i` of the denominator), so the trajectory
+//! records each ratio's spread. The floors keep judging the ratio of the
+//! two medians.
+//!
 //! ```sh
 //! cargo run --release -p dopia-bench --bin bench_baseline
 //! ```
 
+use bench_support::stats::Summary;
 use dopia_core::cache::CachedDecision;
 use dopia_core::configs::config_space;
 use dopia_core::training::{measure_workload_cached, TrainingOptions};
@@ -18,53 +26,61 @@ use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
 use sim::profile::profile_reference;
 use sim::{Engine, Memory, Schedule};
+use std::io::Write;
+use std::process::Command;
 use std::time::Instant;
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted[sorted.len() / 2]
 }
 
-/// Median-of-`reps` wall time of `f`, in seconds.
-fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    median(
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+/// Wall time of each of `reps` runs of `f`, in seconds.
+fn time_reps<F: FnMut()>(reps: usize, mut f: F) -> Vec<f64> {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect()
 }
 
-/// Median-of-`reps` wall time per insert into a `DEFAULT_CAPACITY` (256)
-/// decision cache, in seconds: the first 32 inserts into an empty cache,
-/// or 256 inserts into a full one, where every insert evicts. Building the
-/// inputs and dropping the cache stay outside the timed region.
-fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> f64 {
+/// `"name": {"median": m, "iqr": q}` over the per-repetition ratios
+/// `num[i] / den[i]`.
+fn ratio_entry(name: &str, num: &[f64], den: &[f64]) -> String {
+    let ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+    let s = Summary::of(&ratios);
+    format!("\"{}\": {{\"median\": {:.4}, \"iqr\": {:.4}}}", name, s.median, s.p75 - s.p25)
+}
+
+/// Wall time per insert into a `DEFAULT_CAPACITY` (256) decision cache, in
+/// seconds, for each of `reps` runs: the first 32 inserts into an empty
+/// cache, or 256 inserts into a full one, where every insert evicts.
+/// Building the inputs and dropping the cache stay outside the timed
+/// region.
+fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> Vec<f64> {
     let n = DecisionCache::DEFAULT_CAPACITY;
     let inserts = if full { n } else { 32 };
-    median(
-        (0..reps)
-            .map(|_| {
-                let mut cache = DecisionCache::default();
-                if full {
-                    for (key, decision) in bench_support::distinct_launches(n as u64, n, decision) {
-                        cache.insert(key, decision);
-                    }
-                }
-                let batch = bench_support::distinct_launches(0, inserts, decision);
-                let t0 = Instant::now();
-                for (key, decision) in batch {
+    (0..reps)
+        .map(|_| {
+            let mut cache = DecisionCache::default();
+            if full {
+                for (key, decision) in bench_support::distinct_launches(n as u64, n, decision) {
                     cache.insert(key, decision);
                 }
-                let elapsed = t0.elapsed().as_secs_f64();
-                std::hint::black_box(&cache);
-                elapsed / inserts as f64
-            })
-            .collect(),
-    )
+            }
+            let batch = bench_support::distinct_launches(0, inserts, decision);
+            let t0 = Instant::now();
+            for (key, decision) in batch {
+                cache.insert(key, decision);
+            }
+            let elapsed = t0.elapsed().as_secs_f64();
+            std::hint::black_box(&cache);
+            elapsed / inserts as f64
+        })
+        .collect()
 }
 
 /// One full pass over the tiny (72-workload) training grid, timed per
@@ -76,9 +92,9 @@ fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> f64 {
 /// after the first skips sampled-interpretation profiling — exactly how
 /// repeated sweeps (benchmark reps, cross-validation folds) run after this
 /// PR. Without it the cache is cleared per pass, reproducing the pre-PR
-/// behaviour of re-profiling every workload on every pass. The median of
-/// five passes is reported, so the cached figure is a warm pass.
-fn sweep_tiny_grid(engine: &Engine, cached: bool) -> f64 {
+/// behaviour of re-profiling every workload on every pass. Five passes are
+/// timed; their median is a warm pass in the cached configuration.
+fn sweep_tiny_grid(engine: &Engine, cached: bool) -> Vec<f64> {
     let space = config_space(&engine.platform);
     let grid: Vec<workloads::synthetic::SyntheticParams> =
         workloads::synthetic::training_grid().into_iter().step_by(17).collect();
@@ -93,7 +109,7 @@ fn sweep_tiny_grid(engine: &Engine, cached: bool) -> f64 {
         })
         .collect();
     let mut cache = DecisionCache::new(grid.len().max(1));
-    time_median(5, || {
+    time_reps(5, || {
         if !cached {
             cache.clear();
         }
@@ -115,9 +131,10 @@ fn main() {
     // this PR's combination (profile cache + DES fast path) against the
     // pre-PR behaviour (re-profile every pass + exact event loop).
     println!("sweeping 72 workloads x 44 configs (fast path + profile cache)...");
-    let sweep_fast_s = sweep_tiny_grid(&fast, true);
+    let sweep_fast = sweep_tiny_grid(&fast, true);
     println!("sweeping 72 workloads x 44 configs (exact DES, uncached)...");
-    let sweep_exact_s = sweep_tiny_grid(&exact, false);
+    let sweep_exact = sweep_tiny_grid(&exact, false);
+    let (sweep_fast_s, sweep_exact_s) = (median(&sweep_fast), median(&sweep_exact));
     let sweep_speedup = sweep_exact_s / sweep_fast_s;
     println!(
         "sweep: fast+cache {:.4}s  exact uncached {:.4}s  speedup {:.1}x",
@@ -130,16 +147,17 @@ fn main() {
     let built = workloads::polybench::gesummv(&mut mem, 16384, 256);
     let profile = fast.profile(built.spec(), &mut mem).unwrap();
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
-    let des_fast_s = time_median(9, || {
+    let des_fast = time_reps(9, || {
         for point in &space {
             std::hint::black_box(fast.simulate(&profile, &built.nd, point.dop(), sched, true));
         }
     });
-    let des_exact_s = time_median(9, || {
+    let des_exact = time_reps(9, || {
         for point in &space {
             std::hint::black_box(exact.simulate(&profile, &built.nd, point.dop(), sched, true));
         }
     });
+    let (des_fast_s, des_exact_s) = (median(&des_fast), median(&des_exact));
     println!(
         "des 44-sweep: fast {:.3}ms  exact {:.3}ms  speedup {:.1}x",
         des_fast_s * 1e3,
@@ -151,19 +169,21 @@ fn main() {
     // scale on the tree-walking reference interpreter vs the bytecode VM
     // (compile included, and precompiled as the enqueue path pays it).
     let ck = sim::compile_kernel(&built.kernel).unwrap();
-    let profile_tree_s = time_median(9, || {
+    let profile_tree = time_reps(9, || {
         std::hint::black_box(
             profile_reference(&built.kernel, &built.args, &built.nd, &mut mem).unwrap(),
         );
     });
-    let profile_vm_s = time_median(9, || {
+    let profile_vm_s = median(&time_reps(9, || {
         std::hint::black_box(fast.profile(built.spec(), &mut mem).unwrap());
-    });
-    let profile_vm_precompiled_s = time_median(9, || {
+    }));
+    let profile_vm_precompiled = time_reps(9, || {
         std::hint::black_box(
             fast.profile_compiled(&ck, &built.args, &built.nd, &mut mem).unwrap(),
         );
     });
+    let (profile_tree_s, profile_vm_precompiled_s) =
+        (median(&profile_tree), median(&profile_vm_precompiled));
     let interp_speedup = profile_tree_s / profile_vm_precompiled_s;
     println!(
         "cold profile: tree-walker {:.3}ms  vm {:.3}ms  vm precompiled {:.3}ms  speedup {:.1}x",
@@ -183,7 +203,7 @@ fn main() {
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 4096, 256);
     dopia.set_launch_cache_enabled(false);
-    let enqueue_cold_s = time_median(9, || {
+    let enqueue_cold = time_reps(9, || {
         dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
             .unwrap();
@@ -192,11 +212,12 @@ fn main() {
     dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
         .unwrap();
-    let enqueue_hit_s = time_median(9, || {
+    let enqueue_hit = time_reps(9, || {
         dopia
             .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
             .unwrap();
     });
+    let (enqueue_cold_s, enqueue_hit_s) = (median(&enqueue_cold), median(&enqueue_hit));
     let stats = dopia.cache_stats();
     println!(
         "enqueue: cold {:.3}ms  hit {:.3}ms  speedup {:.1}x  (cache hits {} misses {})",
@@ -209,8 +230,9 @@ fn main() {
 
     // 5. The decision cache's own insert cost, below and at capacity.
     let decision = CachedDecision { profile, selection: None };
-    let insert_empty_s = cache_insert_s(&decision, false, 101);
-    let insert_full_s = cache_insert_s(&decision, true, 101);
+    let insert_empty = cache_insert_s(&decision, false, 101);
+    let insert_full = cache_insert_s(&decision, true, 101);
+    let (insert_empty_s, insert_full_s) = (median(&insert_empty), median(&insert_full));
     let insert_ratio = insert_full_s / insert_empty_s;
     println!(
         "cache insert: empty {:.3}us  full (evicting) {:.3}us  ratio {:.2}x",
@@ -242,6 +264,30 @@ fn main() {
     ml::io::atomic_write(std::path::Path::new("results/BENCH_baseline.json"), json.as_bytes())
         .expect("write baseline");
     println!("wrote results/BENCH_baseline.json");
+
+    let rev = Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    let line = format!(
+        "{{\"rev\": \"{}\", {}, {}, {}, {}, {}}}\n",
+        rev,
+        ratio_entry("sweep_72x44", &sweep_exact, &sweep_fast),
+        ratio_entry("des_44_sweep", &des_exact, &des_fast),
+        ratio_entry("interp", &profile_tree, &profile_vm_precompiled),
+        ratio_entry("enqueue", &enqueue_cold, &enqueue_hit),
+        ratio_entry("cache", &insert_full, &insert_empty),
+    );
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open("results/BENCH_history.jsonl")
+        .and_then(|mut f| f.write_all(line.as_bytes()))
+        .expect("append results/BENCH_history.jsonl");
+    println!("appended results/BENCH_history.jsonl");
     assert!(
         sweep_speedup >= 5.0,
         "acceptance: sweep speedup {:.2}x < 5x",

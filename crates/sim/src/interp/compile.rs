@@ -31,7 +31,7 @@ pub(super) type Reg = u16;
 /// assigned in pre-order traversal of the kernel body. Both the bytecode
 /// compiler and the tree-walking reference interpreter build their ids from
 /// this table (the walk order is deterministic), so the two engines produce
-/// identical `SiteStats` keys. A rendered source form of each site is kept
+/// identical site keys. A rendered source form of each site is kept
 /// for display.
 pub struct SiteTable {
     by_addr: HashMap<usize, u32>,
@@ -261,10 +261,12 @@ pub(super) enum Insn {
     /// Profile-mode loop entry: compute the trip count from the induction
     /// register and the pre-evaluated bound, then either arm a short full
     /// run (`counter = trips, scaled = 0`) or open a scale region
-    /// (`counter = samples, scaled = 1, ffwd = (trips-samples)*delta`).
+    /// (`counter = samples, scaled = 1, ffwd = (trips-samples)*delta`
+    /// saturated into `i64`).
     LoopBegin { var: Reg, bound: Reg, counter: Reg, scaled: Reg, ffwd: Reg, delta: i64, cmp: BinOp },
     /// Decrement `counter`; loop back while positive, else close the scale
-    /// region (if armed) and fast-forward the induction variable.
+    /// region (if armed) and fast-forward the induction variable
+    /// (saturating add).
     LoopNext { counter: Reg, scaled: Reg, ffwd: Reg, var: Reg, back: u32 },
     /// `break` out of a sampled loop: close the scale region if armed.
     EndScaleIf { scaled: Reg },

@@ -9,7 +9,7 @@
 
 use super::compile::SiteTable;
 use super::tracer::Tracer;
-use super::{Value, PROFILE_LOOP_SAMPLES};
+use super::{loop_fast_forward, loop_trips, Value, PROFILE_LOOP_SAMPLES};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
 use clc::{AssignOp, BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
@@ -66,7 +66,7 @@ struct LoopPlan {
     /// Signed step per iteration.
     delta: i64,
     /// Total trip count from the current induction value.
-    trips: u64,
+    trips: i128,
 }
 
 /// Per-work-item persistent state (survives across barrier phases).
@@ -285,6 +285,7 @@ pub fn run_single_items<T: Tracer>(
     let params = bind_params(kernel, args, mem)?;
     let sites = SiteTable::build(kernel);
     for &linear in global_ids {
+        tracer.begin_item();
         // Decompose the linear id into per-dimension global coordinates.
         let g0 = nd.global[0];
         let g1 = nd.global[1];
@@ -649,14 +650,11 @@ impl<'a, T: Tracer> Interp<'a, T> {
         // Evaluate the bound and the current value now.
         let bound = self.eval(bound_expr)?.as_i64();
         let cur = self.lookup(&var, cond.span())?.as_i64();
-        let trips: i64 = match op {
-            BinOp::Lt if delta > 0 => (bound - cur + delta - 1).div_euclid(delta).max(0),
-            BinOp::Le if delta > 0 => (bound - cur + delta).div_euclid(delta).max(0),
-            BinOp::Gt if delta < 0 => (cur - bound - delta - 1).div_euclid(-delta).max(0),
-            BinOp::Ge if delta < 0 => (cur - bound - delta).div_euclid(-delta).max(0),
-            _ => return Ok(None),
-        };
-        Ok(Some(LoopPlan { var, delta, trips: trips as u64 }))
+        if (delta > 0) != matches!(op, BinOp::Lt | BinOp::Le) {
+            return Ok(None);
+        }
+        let trips = loop_trips(*op, cur, bound, delta);
+        Ok(Some(LoopPlan { var, delta, trips }))
     }
 
     fn run_extrapolated(
@@ -666,7 +664,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
         step: &Expr,
         body: &Stmt,
     ) -> ExecResult<Flow> {
-        let samples = PROFILE_LOOP_SAMPLES as u64;
+        let samples = PROFILE_LOOP_SAMPLES as i128;
         if plan.trips <= samples * 2 {
             // Short loop: run all iterations, no extrapolation.
             for _ in 0..plan.trips {
@@ -706,8 +704,8 @@ impl<'a, T: Tracer> Interp<'a, T> {
         }
         // Fast-forward the induction variable to its post-loop value.
         let cur = self.lookup(&plan.var, body.span())?.as_i64();
-        let remaining = (plan.trips - samples) as i64;
-        self.set_var(&plan.var, Value::Int(cur + remaining * plan.delta), body.span())?;
+        let ffwd = loop_fast_forward(plan.trips, plan.delta);
+        self.set_var(&plan.var, Value::Int(cur.saturating_add(ffwd)), body.span())?;
         Ok(Flow::Normal)
     }
 
@@ -1250,7 +1248,8 @@ pub(super) fn writes_var(stmt: &Stmt, var: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{NullTracer, TracingTracer};
+    use crate::interp::NullTracer;
+    use crate::profile::ProfileTracer;
 
     fn compile1(src: &str) -> clc::Kernel {
         clc::compile(src).unwrap().kernels.remove(0)
@@ -1433,7 +1432,7 @@ mod tests {
         let k = compile1("__kernel void f(__global float* a) { a[get_global_id(0)] = 5.0f; }");
         let mut mem = Memory::new();
         let a = mem.alloc_f32(vec![1.0; 4]);
-        let mut t = TracingTracer::new();
+        let mut t = ProfileTracer::new(2, SiteTable::build(&k).len());
         run_single_items(
             &k,
             &[ArgValue::Buffer(a)],
@@ -1445,7 +1444,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(mem.read_f32(a), &[1.0; 4]); // untouched
-        assert_eq!(t.total_accesses(), 2.0); // but traced
+        assert_eq!(t.total_accesses(0) + t.total_accesses(1), 2.0); // but traced
     }
 
     #[test]
@@ -1460,7 +1459,7 @@ mod tests {
         );
         let mut mem = Memory::new();
         let a = mem.alloc_f32(vec![1.0; 8]);
-        let mut t = TracingTracer::new();
+        let mut t = ProfileTracer::new(1, SiteTable::build(&k).len());
         run_single_items(
             &k,
             &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(1000)],
@@ -1472,7 +1471,7 @@ mod tests {
         )
         .unwrap();
         let loads: f64 = t
-            .sites()
+            .item_sites(0)
             .filter(|(_, s)| !s.is_store)
             .map(|(_, s)| s.count)
             .sum();
@@ -1490,7 +1489,7 @@ mod tests {
         let count_with = |mode: Mode| {
             let mut mem = Memory::new();
             let a = mem.alloc_f32(vec![1.0; 8]);
-            let mut t = TracingTracer::new();
+            let mut t = ProfileTracer::new(1, SiteTable::build(&k).len());
             run_single_items(
                 &k,
                 &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(8)],
@@ -1501,7 +1500,7 @@ mod tests {
                 &mut t,
             )
             .unwrap();
-            t.total_accesses()
+            t.total_accesses(0)
         };
         assert_eq!(count_with(Mode::Full), count_with(Mode::Profile));
     }
@@ -1521,7 +1520,7 @@ mod tests {
         let rp = mem.alloc_i32(vec![0, 100, 300]);
         let v = mem.alloc_f32(vec![1.0; 300]);
         let out = mem.alloc_f32(vec![0.0; 2]);
-        let mut t = TracingTracer::new();
+        let mut t = ProfileTracer::new(1, SiteTable::build(&k).len());
         run_single_items(
             &k,
             &[ArgValue::Buffer(rp), ArgValue::Buffer(v), ArgValue::Buffer(out)],
@@ -1534,8 +1533,8 @@ mod tests {
         .unwrap();
         // Row 1 has 200 elements.
         let v_loads: f64 = t
-            .sites()
-            .filter(|(_, s)| s.buffer == Some(v) && !s.is_store)
+            .item_sites(0)
+            .filter(|(_, s)| s.buffer == v && !s.is_store)
             .map(|(_, s)| s.count)
             .sum();
         assert!((v_loads - 200.0).abs() < 1e-6, "v loads = {}", v_loads);

@@ -37,15 +37,40 @@ pub mod vm;
 
 pub use compile::{compile_kernel, CompiledKernel, SiteTable};
 pub use exec::{ExecError, Mode};
-pub use tracer::{NullTracer, SiteKey, SiteStats, Tracer, TracingTracer};
+pub use tracer::{NullTracer, SiteKey, Tracer};
 
 use crate::buffer::{ArgValue, BufferId, Memory};
 use crate::ndrange::NdRange;
-use clc::{Kernel, Scalar};
+use clc::{BinOp, Kernel, Scalar};
 
 /// In profile mode, how many iterations of an analyzable loop are executed
 /// before the remainder is extrapolated.
 pub const PROFILE_LOOP_SAMPLES: usize = 4;
+
+/// Trip count of the affine loop `for (v = cur; v <cmp> bound; v += delta)`,
+/// where `cmp` agrees with the sign of `delta` (`<`/`<=` ascending,
+/// `>`/`>=` descending). Both engines' profile-mode extrapolation calls
+/// this; it works in `i128`, so an extreme bound (`j < LONG_MAX` from a
+/// negative start) neither overflows nor wraps to zero trips.
+fn loop_trips(cmp: BinOp, cur: i64, bound: i64, delta: i64) -> i128 {
+    let (cur, bound, delta) = (cur as i128, bound as i128, delta as i128);
+    let trips = match cmp {
+        BinOp::Lt => (bound - cur + delta - 1).div_euclid(delta),
+        BinOp::Le => (bound - cur + delta).div_euclid(delta),
+        BinOp::Gt => (cur - bound - delta - 1).div_euclid(-delta),
+        _ => (cur - bound - delta).div_euclid(-delta),
+    };
+    trips.max(0)
+}
+
+/// The induction step that fast-forwards an extrapolated loop of `trips`
+/// iterations past its [`PROFILE_LOOP_SAMPLES`] sampled ones, saturated
+/// into `i64`; engines add it to the induction variable with
+/// `i64::saturating_add`.
+fn loop_fast_forward(trips: i128, delta: i64) -> i64 {
+    let ffwd = (trips - PROFILE_LOOP_SAMPLES as i128) * delta as i128;
+    ffwd.clamp(i64::MIN as i128, i64::MAX as i128) as i64
+}
 
 /// The tree-walking reference interpreter: the oracle the bytecode VM must
 /// match event for event. Only the differential suite and

@@ -12,10 +12,10 @@
 use super::compile::{AtomicFn, CompiledKernel, IdFn, Insn, LocalSpec, Math1Fn, Math2Fn, Phase};
 use super::exec::{bind_args, binary_op, ExecError, ExecResult, Mode};
 use super::tracer::Tracer;
-use super::{Value, PROFILE_LOOP_SAMPLES};
+use super::{loop_fast_forward, loop_trips, Value, PROFILE_LOOP_SAMPLES};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
-use clc::{BinOp, UnOp};
+use clc::UnOp;
 
 /// Per-dispatch execution context: one work-item's view of the world.
 struct Vm<'a, T: Tracer> {
@@ -394,14 +394,8 @@ impl<'a, T: Tracer> Vm<'a, T> {
                 Insn::LoopBegin { var, bound, counter, scaled, ffwd, delta, cmp } => {
                     let bnd = regs[bound as usize].as_i64();
                     let cur = regs[var as usize].as_i64();
-                    let trips: i64 = match cmp {
-                        BinOp::Lt => (bnd - cur + delta - 1).div_euclid(delta).max(0),
-                        BinOp::Le => (bnd - cur + delta).div_euclid(delta).max(0),
-                        BinOp::Gt => (cur - bnd - delta - 1).div_euclid(-delta).max(0),
-                        _ => (cur - bnd - delta).div_euclid(-delta).max(0),
-                    };
-                    let trips = trips as u64;
-                    let samples = PROFILE_LOOP_SAMPLES as u64;
+                    let trips = loop_trips(cmp, cur, bnd, delta);
+                    let samples = PROFILE_LOOP_SAMPLES as i128;
                     if trips <= samples * 2 {
                         // Short loop: run every iteration, no extrapolation.
                         regs[counter as usize] = Value::Int(trips as i64);
@@ -411,7 +405,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                         scale_depth += 1;
                         regs[counter as usize] = Value::Int(samples as i64);
                         regs[scaled as usize] = Value::Int(1);
-                        regs[ffwd as usize] = Value::Int((trips - samples) as i64 * delta);
+                        regs[ffwd as usize] = Value::Int(loop_fast_forward(trips, delta));
                     }
                 }
                 Insn::LoopNext { counter, scaled, ffwd, var, back } => {
@@ -427,9 +421,9 @@ impl<'a, T: Tracer> Vm<'a, T> {
                         regs[scaled as usize] = Value::Int(0);
                         // Fast-forward the induction variable to its
                         // post-loop value.
-                        regs[var as usize] = Value::Int(
-                            regs[var as usize].as_i64() + regs[ffwd as usize].as_i64(),
-                        );
+                        let step = regs[ffwd as usize].as_i64();
+                        regs[var as usize] =
+                            Value::Int(regs[var as usize].as_i64().saturating_add(step));
                     }
                 }
                 Insn::EndScaleIf { scaled } => {
@@ -558,6 +552,7 @@ pub fn run_single_items<T: Tracer>(
     let mut priv_arrays: Vec<Vec<Value>> = Vec::new();
     let mut locals: Vec<Option<Vec<Value>>> = vec![None; ck.locals.len()];
     for &linear in global_ids {
+        tracer.begin_item();
         let g0 = nd.global[0];
         let g1 = nd.global[1];
         let gid3 = [linear % g0, (linear / g0) % g1, linear / (g0 * g1)];

@@ -16,14 +16,12 @@
 //! while CPUs pay the mean — this is what makes irregular kernels such as
 //! SpMV CPU-affine).
 
-use crate::buffer::{ArgValue, Memory};
+use crate::buffer::{ArgValue, BufferId, Memory};
 use crate::interp::{
-    compile_kernel, reference, vm, CompiledKernel, ExecError, Mode, SiteKey, SiteStats,
-    TracingTracer,
+    compile_kernel, reference, vm, CompiledKernel, ExecError, Mode, SiteKey, SiteTable, Tracer,
 };
 use crate::ndrange::NdRange;
 use clc::Kernel;
-use std::collections::HashSet;
 
 /// Memory access pattern classes from Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,14 +132,17 @@ impl KernelProfile {
 const WINDOWS: usize = 3;
 const WINDOW_WIDTH: usize = 4;
 
+/// Maximum recorded address-prefix length per site per work-item.
+const PREFIX_LEN: usize = 16;
+
 /// The sampled work-item ids for a launch of `total` items: [`WINDOWS`]
-/// windows of [`WINDOW_WIDTH`] adjacent items. Order-preserving dedup — the
-/// Vec keeps first-touch order (windows must stay contiguous for the
-/// divergence pass) and overlapping windows on tiny NDRanges never list the
-/// same item twice, so `items_sampled` is exact.
+/// windows of [`WINDOW_WIDTH`] adjacent items, ascending. Windows start at
+/// non-decreasing bases and share one width, so an id that does not exceed
+/// the last one kept was already kept: overlapping windows on tiny NDRanges
+/// never list the same item twice, and `items_sampled` is exact. The
+/// windows stay contiguous for the divergence pass.
 fn sample_ids(total: usize) -> Vec<usize> {
-    let mut ids: Vec<usize> = Vec::new();
-    let mut seen_ids: HashSet<usize> = HashSet::new();
+    let mut ids: Vec<usize> = Vec::with_capacity(WINDOWS * WINDOW_WIDTH);
     for w in 0..WINDOWS {
         let base = if WINDOWS == 1 {
             0
@@ -150,7 +151,7 @@ fn sample_ids(total: usize) -> Vec<usize> {
         };
         for i in 0..WINDOW_WIDTH.min(total) {
             let id = base + i;
-            if id < total && seen_ids.insert(id) {
+            if id < total && ids.last().is_none_or(|&last| id > last) {
                 ids.push(id);
             }
         }
@@ -179,8 +180,8 @@ pub fn profile_compiled(
     nd: &NdRange,
     mem: &mut Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_sampled(nd, mem, |id, mem, t| {
-        vm::run_single_items(ck, args, nd, &[id], mem, Mode::Profile, t)
+    profile_sampled(nd, mem, ck.site_names().len(), |ids, mem, t| {
+        vm::run_single_items(ck, args, nd, ids, mem, Mode::Profile, t)
     })
 }
 
@@ -193,76 +194,204 @@ pub fn profile_reference(
     nd: &NdRange,
     mem: &mut Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_sampled(nd, mem, |id, mem, t| {
-        reference::run_single_items(kernel, args, nd, &[id], mem, Mode::Profile, t)
+    profile_sampled(nd, mem, SiteTable::build(kernel).len(), |ids, mem, t| {
+        reference::run_single_items(kernel, args, nd, ids, mem, Mode::Profile, t)
     })
 }
 
-/// Run each sampled work-item under its own tracer, so per-item counts and
-/// cross-item deltas can be compared (dense site ids are shared across
-/// runs), and aggregate the records.
+/// Run every sampled work-item through one engine call into one
+/// [`ProfileTracer`] and aggregate its table.
 fn profile_sampled(
     nd: &NdRange,
     mem: &mut Memory,
-    mut run_item: impl FnMut(usize, &mut Memory, &mut TracingTracer) -> Result<(), ExecError>,
+    n_sites: usize,
+    run: impl FnOnce(&[usize], &mut Memory, &mut ProfileTracer) -> Result<(), ExecError>,
 ) -> Result<KernelProfile, ExecError> {
     let ids = sample_ids(nd.global_size());
-    let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
-    for &id in &ids {
-        let mut t = TracingTracer::new();
-        run_item(id, mem, &mut t)?;
-        tracers.push(t);
-    }
-    Ok(aggregate(&ids, &tracers, mem))
+    let mut tracer = ProfileTracer::new(ids.len(), n_sites);
+    run(&ids, mem, &mut tracer)?;
+    Ok(aggregate(&ids, &tracer, mem))
 }
 
-/// Fold per-item tracer records into a [`KernelProfile`]. Shared by both
-/// engines, so a profile is a pure function of the traced event streams —
-/// the differential suite compares profiles to pin VM ≡ tree-walker.
-fn aggregate(ids: &[usize], tracers: &[TracingTracer], mem: &Memory) -> KernelProfile {
-    // Union of sites over all items, in first-touch order of the first item
-    // that saw them.
-    let mut site_keys: Vec<SiteKey> = Vec::new();
-    let mut seen_keys: HashSet<SiteKey> = HashSet::new();
-    for t in tracers {
-        for &k in &t.site_order {
-            if seen_keys.insert(k) {
-                site_keys.push(k);
-            }
+/// One work-item's record of one access site.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteSlot {
+    /// Accesses, extrapolated counts included.
+    pub count: f64,
+    /// The first `len` element indices, in order (pre-extrapolation).
+    prefix: [i64; PREFIX_LEN],
+    /// Recorded prefix entries; 0 until the item touches the site.
+    len: u8,
+    /// A site used for both loads and stores (e.g. `a[i] += x`) counts as
+    /// both; the store flag is sticky.
+    pub is_store: bool,
+    pub elem_bytes: usize,
+    /// The buffer the item's first access touched.
+    pub buffer: BufferId,
+}
+
+impl SiteSlot {
+    const UNTOUCHED: SiteSlot = SiteSlot {
+        count: 0.0,
+        prefix: [0; PREFIX_LEN],
+        len: 0,
+        is_store: false,
+        elem_bytes: 0,
+        buffer: BufferId(0),
+    };
+
+    pub fn prefix(&self) -> &[i64] {
+        &self.prefix[..self.len as usize]
+    }
+
+    fn touched(&self) -> bool {
+        self.len > 0
+    }
+}
+
+/// The recording tracer of one profile. Every sampled work-item runs
+/// through it in one engine call; [`Tracer::begin_item`] moves it to the
+/// next item's row of a dense item-major `items × n_sites` site table,
+/// allocated once, so the per-access hot path is an array index and never
+/// allocates.
+#[derive(Debug)]
+pub(crate) struct ProfileTracer {
+    n_sites: usize,
+    slots: Vec<SiteSlot>,
+    /// Per-item extrapolated float-op and integer-op counts.
+    flops: Vec<f64>,
+    iops: Vec<f64>,
+    /// Sites in the order the run first touched them: the union over items
+    /// of each item's first-touch order.
+    order: Vec<SiteKey>,
+    seen: Vec<bool>,
+    /// The current item; `begin_item` advances it (wrapping from
+    /// `usize::MAX` to item 0).
+    item: usize,
+    /// Stack of multiplicative scale factors (product applied to counts).
+    scale_stack: Vec<f64>,
+    scale: f64,
+}
+
+impl ProfileTracer {
+    pub fn new(items: usize, n_sites: usize) -> Self {
+        ProfileTracer {
+            n_sites,
+            slots: vec![SiteSlot::UNTOUCHED; items * n_sites],
+            flops: vec![0.0; items],
+            iops: vec![0.0; items],
+            order: Vec::with_capacity(n_sites),
+            seen: vec![false; n_sites],
+            item: usize::MAX,
+            scale_stack: Vec::with_capacity(4),
+            scale: 1.0,
         }
     }
 
-    let n_items = ids.len().max(1) as f64;
-    let mut sites = Vec::with_capacity(site_keys.len());
-    for &key in &site_keys {
-        let observed: Vec<&SiteStats> = tracers.iter().filter_map(|t| t.site(key)).collect();
-        let count: f64 = observed.iter().map(|s| s.count).sum::<f64>() / n_items;
-        let template = observed[0];
-        let class = AccessClass::classify(&template.prefix);
-        let cross = cross_item_delta(ids, tracers, key);
-        let buffer_elems = template.buffer.map(|b| mem.get(b).len()).unwrap_or(0);
+    /// `item`'s record of `site`, if the item touched it.
+    pub fn slot(&self, item: usize, site: SiteKey) -> Option<&SiteSlot> {
+        Some(&self.slots[item * self.n_sites + site as usize]).filter(|s| s.touched())
+    }
+
+    /// The sites `item` touched, by ascending site id.
+    pub fn item_sites(&self, item: usize) -> impl Iterator<Item = (SiteKey, &SiteSlot)> + '_ {
+        let row = &self.slots[item * self.n_sites..(item + 1) * self.n_sites];
+        (0..).zip(row).filter(|(_, s)| s.touched())
+    }
+
+    /// Total accesses of `item` across all sites.
+    pub fn total_accesses(&self, item: usize) -> f64 {
+        self.item_sites(item).map(|(_, s)| s.count).sum()
+    }
+
+    fn access(&mut self, site: SiteKey, buf: BufferId, idx: i64, elem_bytes: usize, store: bool) {
+        let slot = &mut self.slots[self.item * self.n_sites + site as usize];
+        if !slot.touched() {
+            slot.buffer = buf;
+            slot.elem_bytes = elem_bytes;
+            if !self.seen[site as usize] {
+                self.seen[site as usize] = true;
+                self.order.push(site);
+            }
+        }
+        slot.count += self.scale;
+        if (slot.len as usize) < PREFIX_LEN {
+            slot.prefix[slot.len as usize] = idx;
+            slot.len += 1;
+        }
+        slot.is_store |= store;
+    }
+}
+
+impl Tracer for ProfileTracer {
+    fn begin_item(&mut self) {
+        self.item = self.item.wrapping_add(1);
+        self.scale_stack.clear();
+        self.scale = 1.0;
+    }
+
+    fn load(&mut self, site: SiteKey, buf: BufferId, idx: i64, elem_bytes: usize) {
+        self.access(site, buf, idx, elem_bytes, false);
+    }
+
+    fn store(&mut self, site: SiteKey, buf: BufferId, idx: i64, elem_bytes: usize) {
+        self.access(site, buf, idx, elem_bytes, true);
+    }
+
+    fn arith(&mut self, is_float: bool, count: f64) {
+        if is_float {
+            self.flops[self.item] += count * self.scale;
+        } else {
+            self.iops[self.item] += count * self.scale;
+        }
+    }
+
+    fn begin_scale(&mut self, factor: f64) {
+        self.scale_stack.push(self.scale);
+        self.scale *= factor;
+    }
+
+    fn end_scale(&mut self) {
+        self.scale = self.scale_stack.pop().unwrap_or(1.0);
+    }
+}
+
+/// Fold the per-item site table into a [`KernelProfile`]. Shared by both
+/// engines, so a profile is a pure function of the traced event streams —
+/// the differential suite compares profiles to pin VM ≡ tree-walker. Every
+/// sum runs over items (or, within an item, sites by ascending id) in
+/// order, skipping untouched slots.
+fn aggregate(ids: &[usize], t: &ProfileTracer, mem: &Memory) -> KernelProfile {
+    let n = ids.len();
+    let n_items = n.max(1) as f64;
+    let mut deltas: Vec<i64> = Vec::new();
+    let mut sites = Vec::with_capacity(t.order.len());
+    for &key in &t.order {
+        let observed = || (0..n).filter_map(|i| t.slot(i, key));
+        let template = observed().next().expect("an ordered site was touched");
         sites.push(SiteProfile {
-            class,
-            is_store: observed.iter().any(|s| s.is_store),
+            class: AccessClass::classify(template.prefix()),
+            is_store: observed().any(|s| s.is_store),
             elem_bytes: template.elem_bytes,
-            accesses_per_item: count,
-            cross_item_delta: cross,
-            buffer_elems,
+            accesses_per_item: observed().map(|s| s.count).sum::<f64>() / n_items,
+            cross_item_delta: cross_item_delta(ids, t, key, &mut deltas),
+            buffer_elems: mem.get(template.buffer).len(),
         });
     }
 
-    let flops = tracers.iter().map(|t| t.flops).sum::<f64>() / n_items;
-    let iops = tracers.iter().map(|t| t.iops).sum::<f64>() / n_items;
+    let flops = t.flops.iter().copied().sum::<f64>() / n_items;
+    let iops = t.iops.iter().copied().sum::<f64>() / n_items;
 
     // Divergence: per window, max/mean of total per-item work.
     let mut divergence: f64 = 1.0;
+    let mut work = [0.0f64; WINDOW_WIDTH];
     let mut idx = 0;
-    while idx < ids.len() {
-        let window_end = (idx + WINDOW_WIDTH).min(ids.len());
-        let work: Vec<f64> = tracers[idx..window_end]
-            .iter()
-            .map(|t| t.flops + t.iops + t.total_accesses())
-            .collect();
+    while idx < n {
+        let window_end = (idx + WINDOW_WIDTH).min(n);
+        let work = &mut work[..window_end - idx];
+        for (w, i) in work.iter_mut().zip(idx..window_end) {
+            *w = t.flops[i] + t.iops[i] + t.total_accesses(i);
+        }
         let mean = work.iter().sum::<f64>() / work.len() as f64;
         let max = work.iter().cloned().fold(0.0f64, f64::max);
         if mean > 0.0 {
@@ -276,24 +405,28 @@ fn aggregate(ids: &[usize], tracers: &[TracingTracer], mem: &Memory) -> KernelPr
         iops_per_item: iops,
         divergence,
         sites,
-        items_sampled: ids.len(),
+        items_sampled: n,
     }
 }
 
 /// Median element-index delta between adjacent work-items at aligned
-/// points of their address prefixes.
-fn cross_item_delta(ids: &[usize], tracers: &[TracingTracer], key: SiteKey) -> Option<i64> {
-    let mut deltas: Vec<i64> = Vec::new();
+/// points of their address prefixes. `deltas` is a buffer reused across
+/// sites.
+fn cross_item_delta(
+    ids: &[usize],
+    t: &ProfileTracer,
+    key: SiteKey,
+    deltas: &mut Vec<i64>,
+) -> Option<i64> {
+    deltas.clear();
     for i in 0..ids.len().saturating_sub(1) {
         if ids[i + 1] != ids[i] + 1 {
             continue; // only adjacent-id pairs are comparable
         }
-        let (Some(a), Some(b)) = (tracers[i].site(key), tracers[i + 1].site(key)) else {
+        let (Some(a), Some(b)) = (t.slot(i, key), t.slot(i + 1, key)) else {
             continue;
         };
-        for (x, y) in a.prefix.iter().zip(b.prefix.iter()) {
-            deltas.push(y - x);
-        }
+        deltas.extend(a.prefix().iter().zip(b.prefix()).map(|(x, y)| y - x));
     }
     if deltas.is_empty() {
         return None;
@@ -316,6 +449,91 @@ mod tests {
 
     fn compile1(src: &str) -> Kernel {
         clc::compile(src).unwrap().kernels.remove(0)
+    }
+
+    #[test]
+    fn counts_scale_in_regions() {
+        let mut t = ProfileTracer::new(1, 0);
+        t.begin_item();
+        t.arith(true, 1.0);
+        t.begin_scale(10.0);
+        t.arith(true, 1.0);
+        t.begin_scale(2.0);
+        t.arith(false, 1.0);
+        t.end_scale();
+        t.end_scale();
+        t.arith(false, 1.0);
+        assert_eq!(t.flops[0], 11.0); // 1 + 10
+        assert_eq!(t.iops[0], 21.0); // 20 + 1
+    }
+
+    #[test]
+    fn site_prefix_capped() {
+        let mut t = ProfileTracer::new(1, 8);
+        t.begin_item();
+        for i in 0..100 {
+            t.load(7, BufferId(0), i, 4);
+        }
+        let s = t.slot(0, 7).unwrap();
+        assert_eq!(s.count, 100.0);
+        assert_eq!(s.prefix().len(), PREFIX_LEN);
+        assert_eq!(s.prefix()[3], 3);
+        assert!(!s.is_store);
+    }
+
+    #[test]
+    fn load_then_store_marks_store() {
+        let mut t = ProfileTracer::new(1, 2);
+        t.begin_item();
+        t.load(1, BufferId(0), 0, 4);
+        t.store(1, BufferId(0), 0, 4);
+        assert!(t.slot(0, 1).unwrap().is_store);
+        assert_eq!(t.total_accesses(0), 2.0);
+    }
+
+    #[test]
+    fn sites_iterate_in_first_touch_order() {
+        let mut t = ProfileTracer::new(1, 10);
+        t.begin_item();
+        t.load(9, BufferId(0), 0, 4);
+        t.store(2, BufferId(1), 1, 8);
+        t.load(9, BufferId(0), 1, 4);
+        assert_eq!(t.order, vec![9, 2]);
+        assert!(t.slot(0, 3).is_none());
+    }
+
+    #[test]
+    fn items_keep_separate_rows_and_share_the_union_order() {
+        let mut t = ProfileTracer::new(2, 4);
+        t.begin_item();
+        t.load(3, BufferId(0), 5, 4);
+        t.begin_scale(8.0);
+        t.arith(true, 1.0);
+        // An item never starts inside its predecessor's scale region.
+        t.begin_item();
+        t.arith(true, 1.0);
+        t.store(1, BufferId(2), 6, 8);
+        t.load(3, BufferId(1), 7, 8);
+        assert_eq!(t.order, vec![3, 1]);
+        assert_eq!((t.flops[0], t.flops[1]), (8.0, 1.0));
+        assert!(t.slot(0, 1).is_none());
+        let (first, second) = (t.slot(0, 3).unwrap(), t.slot(1, 3).unwrap());
+        assert_eq!((first.prefix(), first.buffer, first.elem_bytes), (&[5][..], BufferId(0), 4));
+        assert_eq!((second.prefix(), second.buffer, second.elem_bytes), (&[7][..], BufferId(1), 8));
+        let sites: Vec<SiteKey> = t.item_sites(1).map(|(k, _)| k).collect();
+        assert_eq!(sites, vec![1, 3]);
+    }
+
+    #[test]
+    fn sample_ids_are_ascending_windows_without_duplicates() {
+        assert_eq!(sample_ids(1), vec![0]);
+        assert_eq!(sample_ids(5), vec![0, 1, 2, 3, 4]);
+        assert_eq!(sample_ids(100), vec![0, 1, 2, 3, 48, 49, 50, 51, 96, 97, 98, 99]);
+        for total in 1..=15 {
+            let ids = sample_ids(total);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{}: {:?}", total, ids);
+            assert_eq!(ids.len(), total.min(WINDOWS * WINDOW_WIDTH), "{}: {:?}", total, ids);
+        }
     }
 
     #[test]

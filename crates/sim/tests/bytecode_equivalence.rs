@@ -4,14 +4,20 @@
 //! "Observationally identical" is strict: for the same kernel, arguments and
 //! geometry, both engines must emit the *exact* same tracer event stream
 //! (same sites, same indices, same op counts, same scale regions, in the
-//! same order), leave memory in the same state, raise the same errors, and
-//! aggregate to bit-identical `KernelProfile`s. The suite covers the
-//! example/PolyBench-style kernels plus a proptest fuzzer over randomized
-//! synthetic kernels.
+//! same order, with the same work-item boundaries), leave memory in the
+//! same state, raise the same errors, and aggregate to bit-identical
+//! `KernelProfile`s. The VM's profile must also match the shadow copy of
+//! the per-item profiler (`support/shadow_profile.rs`). The suite covers
+//! the example/PolyBench-style kernels plus a proptest fuzzer over
+//! randomized synthetic kernels.
+
+#[path = "support/shadow_profile.rs"]
+mod shadow_profile;
 
 use proptest::prelude::*;
+use shadow_profile::{assert_matches_shadow, assert_profiles_equal};
 use sim::interp::{compile_kernel, reference, vm, Mode, SiteKey, Tracer};
-use sim::profile::{profile_kernel, profile_reference};
+use sim::profile::{profile_compiled, profile_reference};
 use sim::{ArgValue, BufferId, Memory, NdRange};
 
 // ---------------------------------------------------------------------------
@@ -22,6 +28,7 @@ use sim::{ArgValue, BufferId, Memory, NdRange};
 /// means identical, not approximately equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event {
+    BeginItem,
     Load { site: SiteKey, buf: usize, idx: i64, bytes: usize },
     Store { site: SiteKey, buf: usize, idx: i64, bytes: usize },
     Arith { is_float: bool, count_bits: u64 },
@@ -35,6 +42,9 @@ struct EventTracer {
 }
 
 impl Tracer for EventTracer {
+    fn begin_item(&mut self) {
+        self.events.push(Event::BeginItem);
+    }
     fn load(&mut self, site: SiteKey, buf: BufferId, idx: i64, elem_bytes: usize) {
         self.events.push(Event::Load { site, buf: buf.0, idx, bytes: elem_bytes });
     }
@@ -115,11 +125,11 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
             let mut t_ref = EventTracer::default();
             let mut t_vm = EventTracer::default();
 
+            let ids = sample_ids(nd.global_size());
             let (r_ref, r_vm) = if mode == Mode::Profile {
                 if !barrier_free {
                     continue; // the profiler never sees barrier kernels
                 }
-                let ids = sample_ids(nd.global_size());
                 (
                     reference::run_single_items(
                         kernel, &args_ref, &nd, &ids, &mut mem_ref, mode, &mut t_ref,
@@ -148,6 +158,10 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
                 "{} [{:?}]: traced event streams diverge",
                 ctx, mode
             );
+            if mode == Mode::Profile && r_vm.is_ok() {
+                let items = t_vm.events.iter().filter(|e| **e == Event::BeginItem).count();
+                assert_eq!(items, ids.len(), "{}: one item boundary per sampled id", ctx);
+            }
             assert_eq!(
                 snapshot(&mem_ref, &args_ref),
                 snapshot(&mem_vm, &args_vm),
@@ -164,36 +178,14 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
             let mut mem_vm = Memory::new();
             let args_vm = bind(kernel, n, &mut mem_vm);
             let p_ref = profile_reference(kernel, &args_ref, &nd, &mut mem_ref);
-            let p_vm = profile_kernel(kernel, &args_vm, &nd, &mut mem_vm);
+            let p_vm = profile_compiled(&ck, &args_vm, &nd, &mut mem_vm);
             match (p_ref, p_vm) {
                 (Ok(a), Ok(b)) => assert_profiles_equal(&a, &b, ctx),
                 (Err(a), Err(b)) => assert_eq!(a, b, "{}: profile errors diverge", ctx),
                 (a, b) => panic!("{}: one profile failed: {:?} vs {:?}", ctx, a, b),
             }
+            assert_matches_shadow(&ck, &nd, |mem| bind(kernel, n, mem), ctx);
         }
-    }
-}
-
-/// Bit-exact comparison of every profile field (feature-vector parity).
-fn assert_profiles_equal(a: &sim::KernelProfile, b: &sim::KernelProfile, ctx: &str) {
-    assert_eq!(a.flops_per_item.to_bits(), b.flops_per_item.to_bits(), "{}: flops", ctx);
-    assert_eq!(a.iops_per_item.to_bits(), b.iops_per_item.to_bits(), "{}: iops", ctx);
-    assert_eq!(a.divergence.to_bits(), b.divergence.to_bits(), "{}: divergence", ctx);
-    assert_eq!(a.items_sampled, b.items_sampled, "{}: items_sampled", ctx);
-    assert_eq!(a.sites.len(), b.sites.len(), "{}: site count", ctx);
-    for (i, (sa, sb)) in a.sites.iter().zip(&b.sites).enumerate() {
-        assert_eq!(sa.class, sb.class, "{}: site {} class", ctx, i);
-        assert_eq!(sa.is_store, sb.is_store, "{}: site {} is_store", ctx, i);
-        assert_eq!(sa.elem_bytes, sb.elem_bytes, "{}: site {} elem_bytes", ctx, i);
-        assert_eq!(
-            sa.accesses_per_item.to_bits(),
-            sb.accesses_per_item.to_bits(),
-            "{}: site {} accesses",
-            ctx,
-            i
-        );
-        assert_eq!(sa.cross_item_delta, sb.cross_item_delta, "{}: site {} delta", ctx, i);
-        assert_eq!(sa.buffer_elems, sb.buffer_elems, "{}: site {} footprint", ctx, i);
     }
 }
 
@@ -375,6 +367,48 @@ fn runtime_errors_are_identical() {
     for (i, src) in cases.iter().enumerate() {
         assert_equivalent(src, 16, NdRange::d1(16, 4), &format!("error case {}", i));
     }
+}
+
+/// An extrapolated loop whose trip count overflows `i64` arithmetic: `j`
+/// from -8 up to `i64::MAX` is 2^63 + 7 trips, whose count overflows in
+/// `i64` (a debug-build panic, zero trips in release). Both engines must
+/// extrapolate it and agree event for event and profile for profile.
+#[test]
+fn loop_trip_count_beyond_i64_extrapolates_in_both_engines() {
+    let src = "__kernel void probe(__global float* a, int N) {
+        float s = 0.0f;
+        for (int j = -8; j < N; j++) { s = s + a[0]; }
+        a[0] = s;
+    }";
+    let kernel = clc::compile(src).unwrap().kernels.remove(0);
+    let ck = compile_kernel(&kernel).unwrap();
+    let nd = NdRange::d1(1, 1);
+    let setup = |mem: &mut Memory| {
+        vec![ArgValue::Buffer(mem.alloc_f32(vec![1.0; 4])), ArgValue::Int(i64::MAX)]
+    };
+
+    let (mut mem_ref, mut mem_vm) = (Memory::new(), Memory::new());
+    let (args_ref, args_vm) = (setup(&mut mem_ref), setup(&mut mem_vm));
+    let (mut t_ref, mut t_vm) = (EventTracer::default(), EventTracer::default());
+    let mode = Mode::Profile;
+    reference::run_single_items(&kernel, &args_ref, &nd, &[0], &mut mem_ref, mode, &mut t_ref)
+        .unwrap();
+    vm::run_single_items(&ck, &args_vm, &nd, &[0], &mut mem_vm, mode, &mut t_vm).unwrap();
+    assert_eq!(t_ref.events, t_vm.events, "traced event streams diverge");
+
+    let (mut mem_ref, mut mem_vm) = (Memory::new(), Memory::new());
+    let (args_ref, args_vm) = (setup(&mut mem_ref), setup(&mut mem_vm));
+    let p_ref = profile_reference(&kernel, &args_ref, &nd, &mut mem_ref).unwrap();
+    let p_vm = profile_compiled(&ck, &args_vm, &nd, &mut mem_vm).unwrap();
+    assert_profiles_equal(&p_ref, &p_vm, "trip-count probe");
+    assert_matches_shadow(&ck, &nd, setup, "trip-count probe");
+
+    // One float add and one load per iteration, over 2^63 + 7 trips.
+    let trips = 2f64.powi(63);
+    assert_eq!(p_vm.flops_per_item, trips);
+    assert_eq!(p_vm.sites.len(), 2, "the load and the store of a[0]");
+    let load = p_vm.sites.iter().find(|s| !s.is_store).expect("the a[0] load");
+    assert_eq!(load.accesses_per_item, trips);
 }
 
 // ---------------------------------------------------------------------------
