@@ -6,6 +6,8 @@
 //! * [`lexer`] — tokenizer with source positions,
 //! * [`parser`] — recursive-descent parser producing a typed-on-demand AST,
 //! * [`ast`] — the abstract syntax tree (kernels, statements, expressions),
+//! * [`visit`] — source-order child iterators over the tree, shared by
+//!   every structural pass,
 //! * [`sema`] — semantic analysis: scopes, type checking, builtin signatures,
 //! * [`printer`] — AST → OpenCL-C source (used to inspect malleable rewrites),
 //! * [`builtins`] — the OpenCL 1.2 builtin functions the subset supports.
@@ -40,6 +42,7 @@ pub mod printer;
 pub mod sema;
 pub mod span;
 pub mod token;
+pub mod visit;
 
 pub use ast::{
     AssignOp, BinOp, Expr, Kernel, Param, Program, Scalar, Space, Stmt, Type, UnOp,

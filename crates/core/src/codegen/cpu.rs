@@ -8,6 +8,7 @@
 //! source is an inspectable artifact: it shows exactly the code a native
 //! deployment would compile, and tests pin its structure to the figure.
 
+use clc::visit::ChildMut;
 use clc::{Expr, Kernel, Stmt, Type};
 use std::fmt::Write;
 
@@ -75,74 +76,16 @@ pub fn generate_cpu_source(kernel: &Kernel, work_dim: usize) -> String {
 }
 
 fn rewrite_stmt(stmt: &mut Stmt, work_dim: usize) {
-    match stmt {
-        Stmt::Decl(d) => {
-            if let Some(init) = &mut d.init {
-                rewrite_expr(init, work_dim);
-            }
+    for child in stmt.children_mut() {
+        match child {
+            ChildMut::Stmt(s) => rewrite_stmt(s, work_dim),
+            ChildMut::Expr(e) => rewrite_expr(e, work_dim),
         }
-        Stmt::Expr(e) => rewrite_expr(e, work_dim),
-        Stmt::If { cond, then, els, .. } => {
-            rewrite_expr(cond, work_dim);
-            rewrite_stmt(then, work_dim);
-            if let Some(els) = els {
-                rewrite_stmt(els, work_dim);
-            }
-        }
-        Stmt::For { init, cond, step, body, .. } => {
-            if let Some(init) = init {
-                rewrite_stmt(init, work_dim);
-            }
-            if let Some(cond) = cond {
-                rewrite_expr(cond, work_dim);
-            }
-            if let Some(step) = step {
-                rewrite_expr(step, work_dim);
-            }
-            rewrite_stmt(body, work_dim);
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            rewrite_expr(cond, work_dim);
-            rewrite_stmt(body, work_dim);
-        }
-        Stmt::Block { stmts, .. } => {
-            for s in stmts {
-                rewrite_stmt(s, work_dim);
-            }
-        }
-        Stmt::Return { value: Some(v), .. } => rewrite_expr(v, work_dim),
-        _ => {}
     }
 }
 
 fn rewrite_expr(expr: &mut Expr, work_dim: usize) {
-    match expr {
-        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => rewrite_expr(operand, work_dim),
-        Expr::Binary { lhs, rhs, .. } => {
-            rewrite_expr(lhs, work_dim);
-            rewrite_expr(rhs, work_dim);
-        }
-        Expr::Assign { target, value, .. } => {
-            rewrite_expr(target, work_dim);
-            rewrite_expr(value, work_dim);
-        }
-        Expr::IncDec { target, .. } => rewrite_expr(target, work_dim),
-        Expr::Call { args, .. } => {
-            for a in args.iter_mut() {
-                rewrite_expr(a, work_dim);
-            }
-        }
-        Expr::Index { base, index, .. } => {
-            rewrite_expr(base, work_dim);
-            rewrite_expr(index, work_dim);
-        }
-        Expr::Ternary { cond, then, els, .. } => {
-            rewrite_expr(cond, work_dim);
-            rewrite_expr(then, work_dim);
-            rewrite_expr(els, work_dim);
-        }
-        _ => {}
-    }
+    expr.children_mut().for_each(|c| rewrite_expr(c, work_dim));
     if let Expr::Call { name, args, .. } = expr {
         if name == "get_global_id" {
             if let Some(Expr::IntLit { value, .. }) = args.first() {

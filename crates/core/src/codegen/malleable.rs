@@ -10,6 +10,7 @@
 //! transform valid on integrated parts without CPU/GPU-coherent global
 //! atomics.
 
+use clc::visit::{Child, ChildMut};
 use clc::{BinOp, Expr, Kernel, Param, Space, Stmt, Type};
 
 /// The two parameters the transform appends, in order.
@@ -199,87 +200,15 @@ fn local_part(dim: usize, work_dim: usize, work_var: &str) -> Expr {
 }
 
 fn substitute_stmt(stmt: &mut Stmt, work_dim: usize, work_var: &str) -> Result<(), TransformError> {
-    match stmt {
-        Stmt::Decl(d) => {
-            if let Some(init) = &mut d.init {
-                substitute_expr(init, work_dim, work_var)?;
-            }
-            Ok(())
-        }
-        Stmt::Expr(e) => substitute_expr(e, work_dim, work_var),
-        Stmt::If { cond, then, els, .. } => {
-            substitute_expr(cond, work_dim, work_var)?;
-            substitute_stmt(then, work_dim, work_var)?;
-            if let Some(els) = els {
-                substitute_stmt(els, work_dim, work_var)?;
-            }
-            Ok(())
-        }
-        Stmt::For { init, cond, step, body, .. } => {
-            if let Some(init) = init {
-                substitute_stmt(init, work_dim, work_var)?;
-            }
-            if let Some(cond) = cond {
-                substitute_expr(cond, work_dim, work_var)?;
-            }
-            if let Some(step) = step {
-                substitute_expr(step, work_dim, work_var)?;
-            }
-            substitute_stmt(body, work_dim, work_var)
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            substitute_expr(cond, work_dim, work_var)?;
-            substitute_stmt(body, work_dim, work_var)
-        }
-        Stmt::Block { stmts, .. } => {
-            for s in stmts {
-                substitute_stmt(s, work_dim, work_var)?;
-            }
-            Ok(())
-        }
-        Stmt::Return { value, .. } => {
-            if let Some(v) = value {
-                substitute_expr(v, work_dim, work_var)?;
-            }
-            Ok(())
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } => Ok(()),
-    }
+    stmt.children_mut().try_for_each(|child| match child {
+        ChildMut::Stmt(s) => substitute_stmt(s, work_dim, work_var),
+        ChildMut::Expr(e) => substitute_expr(e, work_dim, work_var),
+    })
 }
 
 fn substitute_expr(expr: &mut Expr, work_dim: usize, work_var: &str) -> Result<(), TransformError> {
     // Recurse first, then possibly replace this node.
-    match expr {
-        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => {
-            substitute_expr(operand, work_dim, work_var)?;
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            substitute_expr(lhs, work_dim, work_var)?;
-            substitute_expr(rhs, work_dim, work_var)?;
-        }
-        Expr::Assign { target, value, .. } => {
-            substitute_expr(target, work_dim, work_var)?;
-            substitute_expr(value, work_dim, work_var)?;
-        }
-        Expr::IncDec { target, .. } => {
-            substitute_expr(target, work_dim, work_var)?;
-        }
-        Expr::Call { args, .. } => {
-            for a in args.iter_mut() {
-                substitute_expr(a, work_dim, work_var)?;
-            }
-        }
-        Expr::Index { base, index, .. } => {
-            substitute_expr(base, work_dim, work_var)?;
-            substitute_expr(index, work_dim, work_var)?;
-        }
-        Expr::Ternary { cond, then, els, .. } => {
-            substitute_expr(cond, work_dim, work_var)?;
-            substitute_expr(then, work_dim, work_var)?;
-            substitute_expr(els, work_dim, work_var)?;
-        }
-        _ => {}
-    }
+    expr.children_mut().try_for_each(|c| substitute_expr(c, work_dim, work_var))?;
     if let Expr::Call { name, args, span } = expr {
         if is_work_item_query(name) {
             let dim = match args.first() {
@@ -311,55 +240,15 @@ fn non_literal_dimension(name: &str, arg: Option<&Expr>, span: &clc::Span) -> Tr
 
 /// [`substitute_stmt`]'s walk, read-only.
 fn check_stmt(stmt: &Stmt, kernel: &Kernel) -> Result<(), TransformError> {
-    match stmt {
-        Stmt::Decl(d) => d.init.iter().try_for_each(|init| check_expr(init, kernel)),
-        Stmt::Expr(e) => check_expr(e, kernel),
-        Stmt::If { cond, then, els, .. } => {
-            check_expr(cond, kernel)?;
-            check_stmt(then, kernel)?;
-            els.iter().try_for_each(|els| check_stmt(els, kernel))
-        }
-        Stmt::For { init, cond, step, body, .. } => {
-            init.iter().try_for_each(|init| check_stmt(init, kernel))?;
-            cond.iter().try_for_each(|cond| check_expr(cond, kernel))?;
-            step.iter().try_for_each(|step| check_expr(step, kernel))?;
-            check_stmt(body, kernel)
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            check_expr(cond, kernel)?;
-            check_stmt(body, kernel)
-        }
-        Stmt::Block { stmts, .. } => stmts.iter().try_for_each(|s| check_stmt(s, kernel)),
-        Stmt::Return { value, .. } => value.iter().try_for_each(|v| check_expr(v, kernel)),
-        Stmt::Break { .. } | Stmt::Continue { .. } => Ok(()),
-    }
+    stmt.children().try_for_each(|child| match child {
+        Child::Stmt(s) => check_stmt(s, kernel),
+        Child::Expr(e) => check_expr(e, kernel),
+    })
 }
 
 /// [`substitute_expr`]'s walk, read-only.
 fn check_expr(expr: &Expr, kernel: &Kernel) -> Result<(), TransformError> {
-    match expr {
-        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => check_expr(operand, kernel)?,
-        Expr::Binary { lhs, rhs, .. } => {
-            check_expr(lhs, kernel)?;
-            check_expr(rhs, kernel)?;
-        }
-        Expr::Assign { target, value, .. } => {
-            check_expr(target, kernel)?;
-            check_expr(value, kernel)?;
-        }
-        Expr::IncDec { target, .. } => check_expr(target, kernel)?,
-        Expr::Call { args, .. } => args.iter().try_for_each(|a| check_expr(a, kernel))?,
-        Expr::Index { base, index, .. } => {
-            check_expr(base, kernel)?;
-            check_expr(index, kernel)?;
-        }
-        Expr::Ternary { cond, then, els, .. } => {
-            check_expr(cond, kernel)?;
-            check_expr(then, kernel)?;
-            check_expr(els, kernel)?;
-        }
-        _ => {}
-    }
+    expr.children().try_for_each(|c| check_expr(c, kernel))?;
     if let Expr::Call { name, args, span } = expr {
         if is_work_item_query(name) && !matches!(args.first(), Some(Expr::IntLit { .. })) {
             // Rare error path: report the argument as the 1-D transform
@@ -379,66 +268,20 @@ fn check_expr(expr: &Expr, kernel: &Kernel) -> Result<(), TransformError> {
 /// All identifiers appearing anywhere in the kernel (params, decls, uses).
 fn collect_identifiers(kernel: &Kernel) -> Vec<String> {
     fn from_expr(e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::Ident { name, .. } => out.push(name.clone()),
-            Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => from_expr(operand, out),
-            Expr::Binary { lhs, rhs, .. } => {
-                from_expr(lhs, out);
-                from_expr(rhs, out);
-            }
-            Expr::Assign { target, value, .. } => {
-                from_expr(target, out);
-                from_expr(value, out);
-            }
-            Expr::IncDec { target, .. } => from_expr(target, out),
-            Expr::Call { args, .. } => args.iter().for_each(|a| from_expr(a, out)),
-            Expr::Index { base, index, .. } => {
-                from_expr(base, out);
-                from_expr(index, out);
-            }
-            Expr::Ternary { cond, then, els, .. } => {
-                from_expr(cond, out);
-                from_expr(then, out);
-                from_expr(els, out);
-            }
-            _ => {}
+        if let Expr::Ident { name, .. } = e {
+            out.push(name.clone());
         }
+        e.children().for_each(|c| from_expr(c, out));
     }
     fn from_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match s {
-            Stmt::Decl(d) => {
-                out.push(d.name.clone());
-                if let Some(init) = &d.init {
-                    from_expr(init, out);
-                }
+        if let Stmt::Decl(d) = s {
+            out.push(d.name.clone());
+        }
+        for child in s.children() {
+            match child {
+                Child::Stmt(s) => from_stmt(s, out),
+                Child::Expr(e) => from_expr(e, out),
             }
-            Stmt::Expr(e) => from_expr(e, out),
-            Stmt::If { cond, then, els, .. } => {
-                from_expr(cond, out);
-                from_stmt(then, out);
-                if let Some(els) = els {
-                    from_stmt(els, out);
-                }
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                if let Some(init) = init {
-                    from_stmt(init, out);
-                }
-                if let Some(cond) = cond {
-                    from_expr(cond, out);
-                }
-                if let Some(step) = step {
-                    from_expr(step, out);
-                }
-                from_stmt(body, out);
-            }
-            Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-                from_expr(cond, out);
-                from_stmt(body, out);
-            }
-            Stmt::Block { stmts, .. } => stmts.iter().for_each(|s| from_stmt(s, out)),
-            Stmt::Return { value: Some(v), .. } => from_expr(v, out),
-            _ => {}
         }
     }
     let mut out: Vec<String> = kernel.params.iter().map(|p| p.name.clone()).collect();

@@ -15,7 +15,8 @@
 //! ([`super::reference`]). Any deviation is a bug; the differential suite
 //! in `tests/bytecode_equivalence.rs` enforces this.
 
-use super::exec::{const_int, split_phases, writes_var, ExecError, ExecResult};
+use super::exec::{const_int, expr_writes, split_phases, writes_var, ExecError, ExecResult};
+use clc::visit::Child;
 use clc::{BinOp, Expr, Kernel, Param, Span, Stmt, Type, UnOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,16 +32,14 @@ pub(super) type Reg = u16;
 /// assigned in pre-order traversal of the kernel body. Both the bytecode
 /// compiler and the tree-walking reference interpreter build their ids from
 /// this table (the walk order is deterministic), so the two engines produce
-/// identical site keys. A rendered source form of each site is kept
-/// for display.
+/// identical site keys.
 pub struct SiteTable {
     by_addr: HashMap<usize, u32>,
-    names: Vec<String>,
 }
 
 impl SiteTable {
     pub fn build(kernel: &Kernel) -> SiteTable {
-        let mut t = SiteTable { by_addr: HashMap::new(), names: Vec::new() };
+        let mut t = SiteTable { by_addr: HashMap::new() };
         for stmt in &kernel.body {
             t.walk_stmt(stmt);
         }
@@ -52,121 +51,29 @@ impl SiteTable {
         self.by_addr[&(e as *const Expr as usize)]
     }
 
-    /// Display names, indexed by site id.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.by_addr.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.by_addr.is_empty()
     }
 
     fn walk_stmt(&mut self, stmt: &Stmt) {
-        match stmt {
-            Stmt::Decl(d) => {
-                if let Some(init) = &d.init {
-                    self.walk_expr(init);
-                }
+        for child in stmt.children() {
+            match child {
+                Child::Stmt(s) => self.walk_stmt(s),
+                Child::Expr(e) => self.walk_expr(e),
             }
-            Stmt::Expr(e) => self.walk_expr(e),
-            Stmt::If { cond, then, els, .. } => {
-                self.walk_expr(cond);
-                self.walk_stmt(then);
-                if let Some(els) = els {
-                    self.walk_stmt(els);
-                }
-            }
-            Stmt::For { init, cond, step, body, .. } => {
-                if let Some(init) = init {
-                    self.walk_stmt(init);
-                }
-                if let Some(cond) = cond {
-                    self.walk_expr(cond);
-                }
-                if let Some(step) = step {
-                    self.walk_expr(step);
-                }
-                self.walk_stmt(body);
-            }
-            Stmt::While { cond, body, .. } => {
-                self.walk_expr(cond);
-                self.walk_stmt(body);
-            }
-            Stmt::DoWhile { body, cond, .. } => {
-                self.walk_stmt(body);
-                self.walk_expr(cond);
-            }
-            Stmt::Block { stmts, .. } => {
-                for s in stmts {
-                    self.walk_stmt(s);
-                }
-            }
-            Stmt::Return { value, .. } => {
-                if let Some(v) = value {
-                    self.walk_expr(v);
-                }
-            }
-            Stmt::Break { .. } | Stmt::Continue { .. } => {}
         }
     }
 
     fn walk_expr(&mut self, e: &Expr) {
         if let Expr::Index { .. } = e {
-            let id = self.names.len() as u32;
+            let id = self.by_addr.len() as u32;
             self.by_addr.insert(e as *const Expr as usize, id);
-            self.names.push(render_expr(e));
         }
-        match e {
-            Expr::IntLit { .. } | Expr::FloatLit { .. } | Expr::BoolLit { .. } | Expr::Ident { .. } => {}
-            Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => self.walk_expr(operand),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.walk_expr(target);
-                self.walk_expr(value);
-            }
-            Expr::IncDec { target, .. } => self.walk_expr(target),
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::Index { base, index, .. } => {
-                self.walk_expr(base);
-                self.walk_expr(index);
-            }
-            Expr::Ternary { cond, then, els, .. } => {
-                self.walk_expr(cond);
-                self.walk_expr(then);
-                self.walk_expr(els);
-            }
-        }
-    }
-}
-
-/// Compact source rendering for site display names (`A[i * n + j]`).
-fn render_expr(e: &Expr) -> String {
-    match e {
-        Expr::IntLit { value, .. } => value.to_string(),
-        Expr::FloatLit { value, .. } => format!("{}", value),
-        Expr::BoolLit { value, .. } => value.to_string(),
-        Expr::Ident { name, .. } => name.clone(),
-        Expr::Unary { op, operand, .. } => format!("{}{}", op.symbol(), render_expr(operand)),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            format!("{} {} {}", render_expr(lhs), op.symbol(), render_expr(rhs))
-        }
-        Expr::Call { name, .. } => format!("{}(..)", name),
-        Expr::Index { base, index, .. } => {
-            format!("{}[{}]", render_expr(base), render_expr(index))
-        }
-        Expr::Cast { to, operand, .. } => format!("({}){}", to, render_expr(operand)),
-        _ => "?".to_string(),
+        e.children().for_each(|c| self.walk_expr(c));
     }
 }
 
@@ -302,7 +209,7 @@ pub struct CompiledKernel {
     pub(super) phases: Vec<Phase>,
     pub(super) n_regs: usize,
     pub(super) locals: Vec<LocalSpec>,
-    site_names: Vec<String>,
+    num_sites: usize,
     code_id: u64,
 }
 
@@ -322,9 +229,9 @@ impl CompiledKernel {
         self.code_id
     }
 
-    /// Rendered source form of each access site, for display.
-    pub fn site_names(&self) -> &[String] {
-        &self.site_names
+    /// Number of static access sites (see [`SiteTable`]).
+    pub fn num_sites(&self) -> usize {
+        self.num_sites
     }
 
     pub fn has_barriers(&self) -> bool {
@@ -346,24 +253,7 @@ impl CompiledKernel {
 /// a variable-held register must be materialized into a temp before a
 /// sibling expression runs.
 fn writes_vars(e: &Expr) -> bool {
-    match e {
-        Expr::Assign { target, value, .. } => {
-            matches!(target.as_ref(), Expr::Ident { .. })
-                || writes_vars(target)
-                || writes_vars(value)
-        }
-        Expr::IncDec { target, .. } => {
-            matches!(target.as_ref(), Expr::Ident { .. }) || writes_vars(target)
-        }
-        Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => writes_vars(operand),
-        Expr::Binary { lhs, rhs, .. } => writes_vars(lhs) || writes_vars(rhs),
-        Expr::Call { args, .. } => args.iter().any(writes_vars),
-        Expr::Index { base, index, .. } => writes_vars(base) || writes_vars(index),
-        Expr::Ternary { cond, then, els, .. } => {
-            writes_vars(cond) || writes_vars(then) || writes_vars(els)
-        }
-        _ => false,
-    }
+    expr_writes(e, None)
 }
 
 /// Pre-analyzed affine loop (mirrors `exec::analyze_loop` syntactically).
@@ -1269,7 +1159,7 @@ pub fn compile_kernel(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         phases,
         n_regs: c.n_regs,
         locals: c.locals,
-        site_names: c.sites.names,
+        num_sites: c.sites.len(),
         code_id: NEXT_CODE_ID.fetch_add(1, Ordering::Relaxed),
     })
 }
@@ -1295,9 +1185,54 @@ mod tests {
         let k = kernel_of(GUARDED_SRC);
         let a = compile_kernel(&k).unwrap();
         let b = compile_kernel(&k).unwrap();
-        assert_eq!(a.site_names(), b.site_names());
+        assert_eq!(a.num_sites(), b.num_sites());
         assert_eq!(a.num_insns(), b.num_insns());
         // Each compilation is a distinct cacheable identity.
         assert_ne!(a.code_id(), b.code_id());
+    }
+
+    /// An access in every child position: `for` init/cond/step/body,
+    /// `do` body before its cond, and a nested `A[B[i]]`.
+    const EVERY_POSITION_SRC: &str = "
+        __kernel void every_position(__global int* A, __global int* B, int n) {
+            int i = get_global_id(0);
+            for (int j = A[0]; j < A[1]; j += A[2]) {
+                A[3] = j;
+            }
+            do {
+                A[4] += 1;
+            } while (A[5] < n);
+            A[B[i]] = A[6] > 0 ? B[7] : -B[8];
+        }";
+
+    /// Profiles sum sites in ascending id order, so ids must stay the
+    /// pre-order of the kernel body, which is source order: an outer
+    /// access gets its id before the accesses nested in it.
+    #[test]
+    fn site_ids_follow_source_order() {
+        fn index_nodes<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            if let Expr::Index { .. } = e {
+                out.push(e);
+            }
+            e.children().for_each(|c| index_nodes(c, out));
+        }
+        fn from_stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a Expr>) {
+            for child in s.children() {
+                match child {
+                    Child::Stmt(s) => from_stmt(s, out),
+                    Child::Expr(e) => index_nodes(e, out),
+                }
+            }
+        }
+        let k = kernel_of(EVERY_POSITION_SRC);
+        let mut sites = Vec::new();
+        k.body.iter().for_each(|s| from_stmt(s, &mut sites));
+        sites.sort_by_key(|e| e.span().start);
+
+        let table = SiteTable::build(&k);
+        let ids: Vec<u32> = sites.iter().map(|e| table.id_of(e)).collect();
+        assert_eq!(ids, (0..11).collect::<Vec<u32>>());
+        assert_eq!(table.len(), 11);
+        assert_eq!(compile_kernel(&k).unwrap().num_sites(), 11);
     }
 }

@@ -12,6 +12,7 @@ use super::tracer::Tracer;
 use super::{loop_fast_forward, loop_trips, Value, PROFILE_LOOP_SAMPLES};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
+use clc::visit::Child;
 use clc::{AssignOp, BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -147,21 +148,18 @@ fn bind_params(kernel: &Kernel, args: &[ArgValue], mem: &Memory) -> ExecResult<V
 }
 
 /// Split the kernel body into barrier-delimited phases. A `barrier(...)`
-/// appearing anywhere other than a top-level statement is an error.
+/// call anywhere other than as a top-level statement (nested in a block,
+/// a loop header or another expression) is an error.
 pub(super) fn split_phases(body: &[Stmt], kernel_span: Span) -> ExecResult<Vec<&[Stmt]>> {
-    fn contains_nested_barrier(stmt: &Stmt) -> bool {
-        match stmt {
-            Stmt::Expr(Expr::Call { name, .. }) => name == "barrier",
-            Stmt::If { then, els, .. } => {
-                contains_nested_barrier(then)
-                    || els.as_deref().is_some_and(contains_nested_barrier)
-            }
-            Stmt::For { body, .. } | Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
-                contains_nested_barrier(body)
-            }
-            Stmt::Block { stmts, .. } => stmts.iter().any(contains_nested_barrier),
-            _ => false,
-        }
+    fn stmt_has_barrier(stmt: &Stmt) -> bool {
+        stmt.children().any(|child| match child {
+            Child::Stmt(s) => stmt_has_barrier(s),
+            Child::Expr(e) => expr_has_barrier(e),
+        })
+    }
+    fn expr_has_barrier(e: &Expr) -> bool {
+        matches!(e, Expr::Call { name, .. } if name == "barrier")
+            || e.children().any(expr_has_barrier)
     }
 
     let mut phases = Vec::new();
@@ -174,7 +172,7 @@ pub(super) fn split_phases(body: &[Stmt], kernel_span: Span) -> ExecResult<Vec<&
                 continue;
             }
         }
-        if contains_nested_barrier(stmt) {
+        if stmt_has_barrier(stmt) {
             return Err(ExecError::new(
                 "barrier() must be a top-level statement of the kernel body",
                 kernel_span,
@@ -1201,48 +1199,21 @@ pub(super) fn const_int(e: &Expr) -> Option<i64> {
 
 /// Does `stmt` contain any write to variable `var`?
 pub(super) fn writes_var(stmt: &Stmt, var: &str) -> bool {
-    fn expr_writes(e: &Expr, var: &str) -> bool {
-        match e {
-            Expr::Assign { target, value, .. } => {
-                matches!(target.as_ref(), Expr::Ident { name, .. } if name == var)
-                    || expr_writes(target, var)
-                    || expr_writes(value, var)
-            }
-            Expr::IncDec { target, .. } => {
-                matches!(target.as_ref(), Expr::Ident { name, .. } if name == var)
-                    || expr_writes(target, var)
-            }
-            Expr::Unary { operand, .. } | Expr::Cast { operand, .. } => expr_writes(operand, var),
-            Expr::Binary { lhs, rhs, .. } => expr_writes(lhs, var) || expr_writes(rhs, var),
-            Expr::Call { args, .. } => args.iter().any(|a| expr_writes(a, var)),
-            Expr::Index { base, index, .. } => expr_writes(base, var) || expr_writes(index, var),
-            Expr::Ternary { cond, then, els, .. } => {
-                expr_writes(cond, var) || expr_writes(then, var) || expr_writes(els, var)
-            }
-            _ => false,
-        }
-    }
-    match stmt {
-        Stmt::Decl(d) => d.init.as_ref().is_some_and(|e| expr_writes(e, var)),
-        Stmt::Expr(e) => expr_writes(e, var),
-        Stmt::If { cond, then, els, .. } => {
-            expr_writes(cond, var)
-                || writes_var(then, var)
-                || els.as_deref().is_some_and(|s| writes_var(s, var))
-        }
-        Stmt::For { init, cond, step, body, .. } => {
-            init.as_deref().is_some_and(|s| writes_var(s, var))
-                || cond.as_ref().is_some_and(|e| expr_writes(e, var))
-                || step.as_ref().is_some_and(|e| expr_writes(e, var))
-                || writes_var(body, var)
-        }
-        Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
-            expr_writes(cond, var) || writes_var(body, var)
-        }
-        Stmt::Block { stmts, .. } => stmts.iter().any(|s| writes_var(s, var)),
-        Stmt::Return { value, .. } => value.as_ref().is_some_and(|e| expr_writes(e, var)),
-        Stmt::Break { .. } | Stmt::Continue { .. } => false,
-    }
+    stmt.children().any(|child| match child {
+        Child::Stmt(s) => writes_var(s, var),
+        Child::Expr(e) => expr_writes(e, Some(var)),
+    })
+}
+
+/// Does evaluating `e` assign or increment the scalar variable `var` (any
+/// scalar variable when `var` is `None`)? Memory writes don't count.
+pub(super) fn expr_writes(e: &Expr, var: Option<&str>) -> bool {
+    let target = match e {
+        Expr::Assign { target, .. } | Expr::IncDec { target, .. } => Some(target.as_ref()),
+        _ => None,
+    };
+    matches!(target, Some(Expr::Ident { name, .. }) if var.is_none_or(|v| v == name))
+        || e.children().any(|c| expr_writes(c, var))
 }
 
 #[cfg(test)]
@@ -1360,20 +1331,26 @@ mod tests {
 
     #[test]
     fn nested_barrier_rejected() {
-        let k = compile1(
+        for src in [
             "__kernel void f() { if (get_local_id(0) == 0) { barrier(CLK_LOCAL_MEM_FENCE); } }",
-        );
-        let mut mem = Memory::new();
-        let err = run_kernel(
-            &k,
-            &[],
-            &NdRange::d1(4, 4),
-            &mut mem,
-            Mode::Full,
-            &mut NullTracer,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("top-level"));
+            "__kernel void f() { int i = 0; \
+             for (barrier(CLK_LOCAL_MEM_FENCE); i < 4; i += 4) { } }",
+            "__kernel void f() { for (int i = 0; i < 4; barrier(CLK_LOCAL_MEM_FENCE)) { i += 4; } }",
+        ] {
+            let k = compile1(src);
+            assert!(crate::compile_kernel(&k).is_err(), "{}", src);
+            let mut mem = Memory::new();
+            let err = run_kernel(
+                &k,
+                &[],
+                &NdRange::d1(4, 4),
+                &mut mem,
+                Mode::Full,
+                &mut NullTracer,
+            )
+            .unwrap_err();
+            assert!(err.message.contains("top-level"), "{}: {}", src, err.message);
+        }
     }
 
     #[test]

@@ -180,7 +180,7 @@ pub fn profile_compiled(
     nd: &NdRange,
     mem: &mut Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_sampled(nd, mem, ck.site_names().len(), |ids, mem, t| {
+    profile_sampled(nd, mem, ck.num_sites(), |ids, mem, t| {
         vm::run_single_items(ck, args, nd, ids, mem, Mode::Profile, t)
     })
 }
