@@ -21,11 +21,11 @@
 use bench_support::stats::Summary;
 use dopia_core::cache::CachedDecision;
 use dopia_core::configs::config_space;
-use dopia_core::training::{measure_workload_cached, TrainingOptions};
+use dopia_core::training::{record_from_profile, TrainingOptions};
 use dopia_core::{DecisionCache, Dopia, PerfModel};
 use ml::ModelKind;
 use sim::profile::profile_reference;
-use sim::{Engine, Memory, Schedule};
+use sim::{Engine, KernelProfile, Memory, Schedule};
 use std::io::Write;
 use std::process::Command;
 use std::time::Instant;
@@ -86,14 +86,14 @@ fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> Vec<f64
 /// One full pass over the tiny (72-workload) training grid, timed per
 /// pass. Workload construction (buffer allocation + data generation) is
 /// hoisted out of the timed region — it is identical in both
-/// configurations and is not what this PR accelerates.
+/// configurations and is not what the sweep measures.
 ///
-/// With `cached` the profile cache persists across passes, so every pass
-/// after the first skips sampled-interpretation profiling — exactly how
-/// repeated sweeps (benchmark reps, cross-validation folds) run after this
-/// PR. Without it the cache is cleared per pass, reproducing the pre-PR
-/// behaviour of re-profiling every workload on every pass. Five passes are
-/// timed; their median is a warm pass in the cached configuration.
+/// With `cached` each built workload's profile is taken once and kept
+/// across passes, so every pass after the first skips sampled-interpretation
+/// profiling, as repeated sweeps of one workload (benchmark reps,
+/// cross-validation folds) can. Without it every pass re-profiles every
+/// workload. Five passes are timed; their median is a warm pass in the
+/// cached configuration.
 fn sweep_tiny_grid(engine: &Engine, cached: bool) -> Vec<f64> {
     let space = config_space(&engine.platform);
     let grid: Vec<workloads::synthetic::SyntheticParams> =
@@ -108,14 +108,14 @@ fn sweep_tiny_grid(engine: &Engine, cached: bool) -> Vec<f64> {
             (mem, built)
         })
         .collect();
-    let mut cache = DecisionCache::new(grid.len().max(1));
+    let mut profiles: Vec<Option<KernelProfile>> = vec![None; built.len()];
     time_reps(5, || {
-        if !cached {
-            cache.clear();
-        }
-        for (mem, built) in built.iter_mut() {
-            let record = measure_workload_cached(engine, built, mem, &space, &opts, &mut cache)
-                .unwrap();
+        for ((mem, built), profile) in built.iter_mut().zip(&mut profiles) {
+            if !cached {
+                *profile = None;
+            }
+            let profile = profile.get_or_insert_with(|| engine.profile(built.spec(), mem).unwrap());
+            let record = record_from_profile(engine, built, profile, &space, &opts);
             assert!(record.times[record.best_index] > 0.0);
         }
     })
@@ -128,9 +128,9 @@ fn main() {
     exact.exact_des_only = true;
 
     // 1. Training sweep at tiny_training_set scale (72 workloads x 44):
-    // this PR's combination (profile cache + DES fast path) against the
-    // pre-PR behaviour (re-profile every pass + exact event loop).
-    println!("sweeping 72 workloads x 44 configs (fast path + profile cache)...");
+    // profile memo + DES fast path against re-profiling every pass + the
+    // exact event loop.
+    println!("sweeping 72 workloads x 44 configs (fast path + profile memo)...");
     let sweep_fast = sweep_tiny_grid(&fast, true);
     println!("sweeping 72 workloads x 44 configs (exact DES, uncached)...");
     let sweep_exact = sweep_tiny_grid(&exact, false);
@@ -209,7 +209,7 @@ fn main() {
             .unwrap();
     });
     dopia.set_launch_cache_enabled(true);
-    dopia
+    let warm = dopia
         .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
         .unwrap();
     let enqueue_hit = time_reps(9, || {
@@ -229,7 +229,7 @@ fn main() {
     );
 
     // 5. The decision cache's own insert cost, below and at capacity.
-    let decision = CachedDecision { profile, selection: None };
+    let decision = CachedDecision { profile, selection: warm.selection };
     let insert_empty = cache_insert_s(&decision, false, 101);
     let insert_full = cache_insert_s(&decision, true, 101);
     let (insert_empty_s, insert_full_s) = (median(&insert_empty), median(&insert_full));

@@ -46,9 +46,9 @@ fn main() {
             let dop = DopConfig { cpu_cores: cpu, gpu_frac: g as f64 / 8.0 };
             let r = engine.simulate(&profile, &built.nd, dop, sched, true);
             let util = 100.0 * g as f64 / 8.0;
-            println!("{:>9.1}% {:>12.4} {:>16.3e}", util, r.time_s, r.mem_requests);
-            csv.row_mixed(&built.name, &[util, r.time_s, r.mem_requests]).unwrap();
-            series.push((util, r.time_s, r.mem_requests));
+            println!("{:>9.1}% {:>12.4} {:>16.3e}", util, r.time_s, r.mem_requests());
+            csv.row_mixed(&built.name, &[util, r.time_s, r.mem_requests()]).unwrap();
+            series.push((util, r.time_s, r.mem_requests()));
         }
         // Shape diagnostics against the paper.
         let best = series

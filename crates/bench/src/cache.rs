@@ -5,6 +5,8 @@
 use dopia_core::training::WorkloadRecord;
 use std::path::PathBuf;
 
+const HEADER: &str = "# dopia-grid v1 crc32=";
+
 fn cache_path(platform: &str, step: usize) -> PathBuf {
     let dir = crate::results_dir().join("cache");
     std::fs::create_dir_all(&dir).expect("create cache dir");
@@ -20,30 +22,21 @@ pub fn save(platform: &str, step: usize, records: &[WorkloadRecord]) {
         text.push_str(&r.to_tsv());
         text.push('\n');
     }
-    let with_header =
-        format!("# dopia-grid v1 crc32={:08x}\n{}", ml::io::crc32(text.as_bytes()), text);
+    let with_header = format!("{}{:08x}\n{}", HEADER, ml::io::crc32(text.as_bytes()), text);
     ml::io::atomic_write(&cache_path(platform, step), with_header.as_bytes())
         .expect("write grid cache");
 }
 
-/// Load records if a cache exists and parses cleanly. A `# dopia-grid`
-/// checksum header is verified when present; headerless caches written by
-/// older versions still load.
+/// Load records if a cache exists, carries the checksum header, matches
+/// its checksum and parses cleanly. Anything else is measured again.
 pub fn load(platform: &str, step: usize) -> Option<Vec<WorkloadRecord>> {
-    let mut text = std::fs::read_to_string(cache_path(platform, step)).ok()?;
-    if let Some(header) = text.lines().next().filter(|l| l.starts_with('#')) {
-        let want = u32::from_str_radix(header.rsplit("crc32=").next()?, 16).ok()?;
-        let body = text.split_once('\n').map(|(_, b)| b.to_string()).unwrap_or_default();
-        if ml::io::crc32(body.as_bytes()) != want {
-            return None;
-        }
-        text = body;
+    let text = std::fs::read_to_string(cache_path(platform, step)).ok()?;
+    let (header, body) = text.split_once('\n')?;
+    let want = u32::from_str_radix(header.strip_prefix(HEADER)?, 16).ok()?;
+    if ml::io::crc32(body.as_bytes()) != want {
+        return None;
     }
-    let mut records = Vec::new();
-    for line in text.lines() {
-        records.push(WorkloadRecord::from_tsv(line)?);
-    }
-    Some(records)
+    body.lines().map(WorkloadRecord::from_tsv).collect()
 }
 
 #[cfg(test)]
@@ -85,12 +78,12 @@ mod tests {
         std::fs::write(&path, corrupt).unwrap();
         assert!(load("TestPlat", 3).is_none(), "corrupt cache was accepted");
 
-        // A headerless (pre-checksum) cache still loads.
+        // A headerless cache skips the checksum, so it is rejected.
         save("TestPlat", 3, &records);
         let text = std::fs::read_to_string(&path).unwrap();
         let body = text.split_once('\n').unwrap().1.to_string();
         std::fs::write(&path, body).unwrap();
-        assert!(load("TestPlat", 3).is_some(), "legacy cache failed to load");
+        assert!(load("TestPlat", 3).is_none(), "headerless cache was accepted");
         std::env::remove_var("DOPIA_RESULTS_DIR");
     }
 }

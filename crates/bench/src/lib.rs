@@ -67,7 +67,7 @@ pub fn distinct_launches(
     decision: &dopia_core::cache::CachedDecision,
 ) -> Vec<(dopia_core::LaunchKey, dopia_core::cache::CachedDecision)> {
     use dopia_core::cache::ArgSig;
-    let buffer = |id| ArgSig::Buffer { id, len: 16384 * 16384, generation: 0 };
+    let buffer = |id| ArgSig::Buffer { id, len: 16384 * 16384 };
     (first..first + n as u64)
         .map(|kernel_id| {
             let key = dopia_core::LaunchKey {

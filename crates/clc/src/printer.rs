@@ -291,7 +291,7 @@ fn print_expr(e: &Expr, out: &mut String) {
     }
 }
 
-/// Print a single expression (handy in tests and debug output).
+/// Print a single expression (error messages quote source this way).
 pub fn print_expression(e: &Expr) -> String {
     let mut s = String::new();
     print_expr(e, &mut s);

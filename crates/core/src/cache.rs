@@ -10,17 +10,19 @@
 //!   `clCreateProgramWithSource` time),
 //! * the **NDRange** (geometry feeds both the profiler and the feature
 //!   vector), and
-//! * the **argument signature** — buffer `(id, len, generation)` triples
-//!   plus exact scalar values, because scalars feed addressing and loop
-//!   trip counts inside the kernel.
+//! * the **argument signature** — buffer `(id, len)` pairs plus exact
+//!   scalar values, because scalars feed addressing and loop trip counts
+//!   inside the kernel.
 //!
-//! A buffer's *generation* bumps on [`sim::Memory::resize`] /
-//! [`sim::Memory::rebind`], so a shape-changed buffer can never satisfy a
-//! stale key; inserting a fresh key additionally prunes entries that
-//! reference an outdated generation of the same buffer (counted as
-//! invalidations, since they can never hit again). Capacity is bounded
-//! with exact LRU eviction. Hit/miss/eviction/invalidation counters surface
-//! through [`crate::RuntimeHealth`] and the CLI health line.
+//! A buffer keeps its shape for life and ids are never reused within one
+//! [`sim::Memory`], so `(id, len)` names one shape; `len` also makes a
+//! launch miss when a host puts storage of another length behind the same
+//! handle. Contents are not in the key: after an in-place content change
+//! the host calls [`DecisionCache::invalidate_buffer`]. The supervision
+//! layer drops a quarantined kernel's entries through
+//! [`DecisionCache::invalidate_kernel`]. Capacity is bounded with exact LRU
+//! eviction. Hit/miss/eviction/invalidation counters surface through
+//! [`crate::RuntimeHealth`] and the CLI health line.
 //!
 //! Neither a hit nor a miss scans the cache, whatever its size:
 //!
@@ -28,14 +30,9 @@
 //! * eviction pops the oldest of one `(tick, key)` record per entry, kept
 //!   in tick order and left alone by hits; an entry touched since its
 //!   record was queued is re-queued at its real age, so the victim is
-//!   exactly the least-recently-used entry;
-//! * a count of live entries per `(buffer, generation)` tells an insert
-//!   whether any entry holds an outdated generation of a buffer the fresh
-//!   key references; only then does it scan for the stale entries.
+//!   exactly the least-recently-used entry.
 //!
-//! The training sweep ([`crate::training::measure_workload`]) reuses the
-//! same cache type for its one-profile-per-44-configs sharing, so the
-//! sweep and the runtime hot path exercise one code path.
+//! Only the explicit invalidations scan the entries.
 
 use crate::model::Selection;
 use sim::{ArgValue, BufferId, KernelProfile, Memory, NdRange};
@@ -44,8 +41,8 @@ use std::collections::{hash_map, BTreeMap, HashMap};
 /// Cache-relevant identity of one kernel argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgSig {
-    /// Buffer shape epoch: contents don't matter for decisions, shape does.
-    Buffer { id: usize, len: usize, generation: u64 },
+    /// Buffer shape: contents don't matter for decisions, shape does.
+    Buffer { id: usize, len: usize },
     Int(i64),
     /// Exact f32 bit pattern (`f32` itself is not `Hash`; bits also keep
     /// NaN payloads distinct instead of poisoning equality).
@@ -65,17 +62,12 @@ pub struct LaunchKey {
 }
 
 impl LaunchKey {
-    /// Build the key for a launch, reading buffer shapes and generations
-    /// from `mem`.
+    /// Build the key for a launch, reading buffer lengths from `mem`.
     pub fn new(kernel_id: u64, code_id: u64, nd: NdRange, args: &[ArgValue], mem: &Memory) -> Self {
         let args = args
             .iter()
             .map(|a| match a {
-                ArgValue::Buffer(id) => ArgSig::Buffer {
-                    id: id.0,
-                    len: mem.get(*id).len(),
-                    generation: mem.generation(*id),
-                },
+                ArgValue::Buffer(id) => ArgSig::Buffer { id: id.0, len: mem.get(*id).len() },
                 ArgValue::Int(v) => ArgSig::Int(*v),
                 ArgValue::Float(v) => ArgSig::Float(v.to_bits()),
             })
@@ -83,16 +75,8 @@ impl LaunchKey {
         LaunchKey { kernel_id, code_id, nd, args }
     }
 
-    /// The `(buffer id, generation)` of every buffer argument.
-    fn buffers(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.args.iter().filter_map(|a| match *a {
-            ArgSig::Buffer { id, generation, .. } => Some((id, generation)),
-            ArgSig::Int(_) | ArgSig::Float(_) => None,
-        })
-    }
-
     fn references_buffer(&self, id: usize) -> bool {
-        self.buffers().any(|(b, _)| b == id)
+        self.args.iter().any(|a| matches!(*a, ArgSig::Buffer { id: b, .. } if b == id))
     }
 }
 
@@ -101,9 +85,8 @@ impl LaunchKey {
 pub struct CachedDecision {
     /// The sampled-interpretation profile (the expensive part).
     pub profile: KernelProfile,
-    /// The model's DoP selection; `None` for profile-only entries (the
-    /// training sweep caches characterization without a selection).
-    pub selection: Option<Selection>,
+    /// The model's DoP selection.
+    pub selection: Selection,
 }
 
 /// Monotonic cache counters.
@@ -124,39 +107,6 @@ struct Entry {
     queued: u64,
 }
 
-/// Number of buffer references from live entries, per `(buffer id,
-/// generation)`.
-#[derive(Debug, Default)]
-struct Generations(BTreeMap<(usize, u64), usize>);
-
-impl Generations {
-    fn track(&mut self, key: &LaunchKey) {
-        for buffer in key.buffers() {
-            *self.0.entry(buffer).or_default() += 1;
-        }
-    }
-
-    fn untrack(&mut self, key: &LaunchKey) {
-        for buffer in key.buffers() {
-            let live = self.0.get_mut(&buffer).expect("a live entry's buffers are tracked");
-            *live -= 1;
-            if *live == 0 {
-                self.0.remove(&buffer);
-            }
-        }
-    }
-
-    /// Live `(buffer id, generation)` pairs strictly older than a
-    /// generation `fresh` references: every entry holding one can never
-    /// hit again.
-    fn outdated_by(&self, fresh: &LaunchKey) -> Vec<(usize, u64)> {
-        fresh
-            .buffers()
-            .flat_map(|(id, generation)| self.0.range((id, 0)..(id, generation)).map(|(&b, _)| b))
-            .collect()
-    }
-}
-
 /// Bounded LRU cache of launch decisions.
 #[derive(Debug)]
 pub struct DecisionCache {
@@ -166,7 +116,6 @@ pub struct DecisionCache {
     /// One record per entry, keyed by its `queued` tick: a lazy LRU queue
     /// that a hit does not touch.
     lru: BTreeMap<u64, LaunchKey>,
-    generations: Generations,
     stats: CacheStats,
 }
 
@@ -174,7 +123,7 @@ impl DecisionCache {
     /// Default capacity: generously above any realistic distinct-launch
     /// working set (44 configs x a handful of kernels). Lookups, inserts
     /// and evictions cost the same at any capacity; only the rare explicit
-    /// invalidations (and a stale-generation prune) scan the entries.
+    /// invalidations scan the entries.
     pub const DEFAULT_CAPACITY: usize = 256;
 
     pub fn new(capacity: usize) -> Self {
@@ -183,7 +132,6 @@ impl DecisionCache {
             tick: 0,
             map: HashMap::new(),
             lru: BTreeMap::new(),
-            generations: Generations::default(),
             stats: CacheStats::default(),
         }
     }
@@ -204,14 +152,9 @@ impl DecisionCache {
         }
     }
 
-    /// Insert a decision, pruning entries staled by newer buffer
-    /// generations and evicting the least-recently-used entry at capacity.
+    /// Insert a decision, evicting the least-recently-used entry at
+    /// capacity.
     pub fn insert(&mut self, key: LaunchKey, decision: CachedDecision) {
-        let outdated = self.generations.outdated_by(&key);
-        if !outdated.is_empty() {
-            self.invalidate_where(|k| k.buffers().any(|b| outdated.contains(&b)));
-        }
-
         self.tick += 1;
         match self.map.entry(key) {
             hash_map::Entry::Occupied(mut slot) => {
@@ -220,7 +163,6 @@ impl DecisionCache {
                 entry.last_used = self.tick;
             }
             hash_map::Entry::Vacant(slot) => {
-                self.generations.track(slot.key());
                 self.lru.insert(self.tick, slot.key().clone());
                 slot.insert(Entry { decision, last_used: self.tick, queued: self.tick });
             }
@@ -245,7 +187,6 @@ impl DecisionCache {
             }
             // Ticks are unique, and every other record (so every other
             // entry's `last_used`) is younger.
-            self.generations.untrack(&key);
             self.stats.evictions += 1;
             return;
         }
@@ -254,11 +195,10 @@ impl DecisionCache {
     /// Drop every entry whose key matches `stale`, counting invalidations.
     fn invalidate_where(&mut self, mut stale: impl FnMut(&LaunchKey) -> bool) {
         let before = self.map.len();
-        let (generations, lru) = (&mut self.generations, &mut self.lru);
+        let lru = &mut self.lru;
         self.map.retain(|key, entry| {
             let drop = stale(key);
             if drop {
-                generations.untrack(key);
                 lru.remove(&entry.queued);
             }
             !drop
@@ -266,8 +206,8 @@ impl DecisionCache {
         self.stats.invalidations += (before - self.map.len()) as u64;
     }
 
-    /// Drop every entry referencing `id` (explicit rebind notification —
-    /// the belt to the generation key's suspenders).
+    /// Drop every entry referencing `id`: the host's hook after it changed
+    /// the buffer's contents in place, which the key does not cover.
     pub fn invalidate_buffer(&mut self, id: BufferId) {
         self.invalidate_where(|k| k.references_buffer(id.0));
     }
@@ -284,7 +224,6 @@ impl DecisionCache {
     pub fn clear(&mut self) {
         self.map.clear();
         self.lru.clear();
-        self.generations = Generations::default();
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -334,7 +273,7 @@ mod tests {
         let args = [ArgValue::Buffer(a), ArgValue::Float(1.5), ArgValue::Int(7)];
         let k = key(&mem, 1, &args);
         assert!(cache.get(&k).is_none());
-        cache.insert(k.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(k.clone(), decision(0));
         assert!(cache.get(&k).is_some());
         // A scalar change is a different launch (scalars feed addressing).
         let other = key(&mem, 1, &[ArgValue::Buffer(a), ArgValue::Float(2.5), ArgValue::Int(7)]);
@@ -346,25 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn resize_changes_key_and_insert_prunes_stale_generation() {
-        let mut mem = Memory::new();
-        let a = mem.alloc_f32(vec![0.0; 16]);
-        let mut cache = DecisionCache::new(8);
-        let args = [ArgValue::Buffer(a)];
-        let k0 = key(&mem, 1, &args);
-        cache.insert(k0.clone(), CachedDecision { profile: profile(), selection: None });
-        mem.resize(a, 32);
-        let k1 = key(&mem, 1, &args);
-        assert_ne!(k0, k1, "resize must change the key");
-        assert!(cache.get(&k1).is_none());
-        cache.insert(k1.clone(), CachedDecision { profile: profile(), selection: None });
-        // The generation-0 entry can never hit again; it must be gone.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().invalidations, 1);
-        assert!(cache.get(&k1).is_some());
-    }
-
-    #[test]
     fn explicit_invalidation_removes_only_matching_buffers() {
         let mut mem = Memory::new();
         let a = mem.alloc_f32(vec![0.0; 16]);
@@ -372,8 +292,8 @@ mod tests {
         let mut cache = DecisionCache::new(8);
         let ka = key(&mem, 1, &[ArgValue::Buffer(a)]);
         let kb = key(&mem, 1, &[ArgValue::Buffer(b)]);
-        cache.insert(ka.clone(), CachedDecision { profile: profile(), selection: None });
-        cache.insert(kb.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(ka.clone(), decision(0));
+        cache.insert(kb.clone(), decision(0));
         cache.invalidate_buffer(a);
         assert!(cache.get(&ka).is_none());
         assert!(cache.get(&kb).is_some());
@@ -388,9 +308,9 @@ mod tests {
         let k1a = key(&mem, 1, &[ArgValue::Buffer(a)]);
         let k1b = key(&mem, 1, &[ArgValue::Buffer(a), ArgValue::Int(9)]);
         let k2 = key(&mem, 2, &[ArgValue::Buffer(a)]);
-        cache.insert(k1a.clone(), CachedDecision { profile: profile(), selection: None });
-        cache.insert(k1b.clone(), CachedDecision { profile: profile(), selection: None });
-        cache.insert(k2.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(k1a.clone(), decision(0));
+        cache.insert(k1b.clone(), decision(0));
+        cache.insert(k2.clone(), decision(0));
         cache.invalidate_kernel(1);
         assert!(cache.get(&k1a).is_none());
         assert!(cache.get(&k1b).is_none());
@@ -405,11 +325,11 @@ mod tests {
         let k1 = key(&mem, 1, &[ArgValue::Int(1)]);
         let k2 = key(&mem, 2, &[ArgValue::Int(2)]);
         let k3 = key(&mem, 3, &[ArgValue::Int(3)]);
-        cache.insert(k1.clone(), CachedDecision { profile: profile(), selection: None });
-        cache.insert(k2.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(k1.clone(), decision(0));
+        cache.insert(k2.clone(), decision(0));
         // Touch k1 so k2 becomes the LRU victim.
         assert!(cache.get(&k1).is_some());
-        cache.insert(k3.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(k3.clone(), decision(0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.get(&k1).is_some());
@@ -422,27 +342,10 @@ mod tests {
         let mem = Memory::new();
         let mut cache = DecisionCache::new(1);
         let k = key(&mem, 1, &[]);
-        cache.insert(k.clone(), CachedDecision { profile: profile(), selection: None });
-        cache.insert(k.clone(), CachedDecision { profile: profile(), selection: None });
+        cache.insert(k.clone(), decision(0));
+        cache.insert(k.clone(), decision(0));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-    }
-
-    impl LaunchKey {
-        /// Whether `self` references a strictly older generation of any buffer
-        /// the (newer) `fresh` key references — i.e. `self` can never hit again.
-        fn is_stale_against(&self, fresh: &LaunchKey) -> bool {
-            self.args.iter().any(|a| {
-                if let ArgSig::Buffer { id, generation, .. } = a {
-                    fresh.args.iter().any(|f| {
-                        matches!(f, ArgSig::Buffer { id: fid, generation: fgen, .. }
-                                 if fid == id && fgen > generation)
-                    })
-                } else {
-                    false
-                }
-            })
-        }
     }
 
     #[derive(Debug)]
@@ -451,9 +354,9 @@ mod tests {
         last_used: u64,
     }
 
-    /// The scanning cache the indexed one replaced: a `retain` over every
-    /// entry for stale pruning and a `min_by_key` over every entry for the
-    /// LRU victim. The model the property test checks against.
+    /// The scanning cache the indexed one replaced: a `min_by_key` over
+    /// every entry for the LRU victim. The model the property test checks
+    /// against.
     #[derive(Debug)]
     struct ReferenceCache {
         capacity: usize,
@@ -488,10 +391,6 @@ mod tests {
         }
 
         fn insert(&mut self, key: LaunchKey, decision: CachedDecision) {
-            let before = self.map.len();
-            self.map.retain(|k, _| !k.is_stale_against(&key));
-            self.stats.invalidations += (before - self.map.len()) as u64;
-
             if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
                 if let Some(lru) = self
                     .map
@@ -524,7 +423,7 @@ mod tests {
         }
     }
 
-    /// A launch argument before buffer generations are resolved.
+    /// A launch argument.
     #[derive(Debug, Clone)]
     enum ArgDraw {
         Buffer(usize),
@@ -535,10 +434,6 @@ mod tests {
     enum Op {
         Get(u64, Vec<ArgDraw>),
         Insert(u64, Vec<ArgDraw>),
-        /// `Memory::resize`: the buffer's generation goes up.
-        Resize(usize),
-        /// A second `Memory` reusing the buffer id at an older generation.
-        Collide(usize),
         InvalidateBuffer(usize),
         InvalidateKernel(u64),
         Clear,
@@ -567,22 +462,17 @@ mod tests {
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
-            (0..BUFFERS).prop_map(Op::Resize),
-            (0..BUFFERS).prop_map(Op::Resize),
-            (0..BUFFERS).prop_map(Op::Collide),
             (0..BUFFERS).prop_map(Op::InvalidateBuffer),
             (0u64..3).prop_map(Op::InvalidateKernel),
             Just(Op::Clear),
         ]
     }
 
-    fn launch_key(kernel_id: u64, args: &[ArgDraw], generations: &[u64; BUFFERS]) -> LaunchKey {
+    fn launch_key(kernel_id: u64, args: &[ArgDraw]) -> LaunchKey {
         let args = args
             .iter()
             .map(|a| match *a {
-                ArgDraw::Buffer(id) => {
-                    ArgSig::Buffer { id, len: 16, generation: generations[id] }
-                }
+                ArgDraw::Buffer(id) => ArgSig::Buffer { id, len: 16 },
                 ArgDraw::Int(v) => ArgSig::Int(v),
             })
             .collect();
@@ -594,26 +484,19 @@ mod tests {
         let point = DopPoint { cpu_cores: 0, gpu_eighths: 8, cpu_util: 0.0, gpu_util: 1.0 };
         CachedDecision {
             profile: KernelProfile { items_sampled: serial, ..profile() },
-            selection: Some(Selection {
+            selection: Selection {
                 index: serial,
                 point,
                 predicted: 1.0,
                 inference_s: 0.0,
                 fallback: false,
-            }),
+            },
         }
     }
 
-    /// The indices agree with the entries: the generation counts are
-    /// exactly the entries' buffer references, and the LRU queue holds one
-    /// record per entry, at its `queued` tick, no younger than its
-    /// `last_used`.
-    fn assert_indices_consistent(cache: &DecisionCache) {
-        let mut generations = Generations::default();
-        for key in cache.map.keys() {
-            generations.track(key);
-        }
-        assert_eq!(cache.generations.0, generations.0, "generation counts drifted");
+    /// The LRU queue agrees with the entries: one record per entry, at its
+    /// `queued` tick, no younger than its `last_used`.
+    fn assert_lru_consistent(cache: &DecisionCache) {
         assert_eq!(cache.lru.len(), cache.map.len(), "one LRU record per entry");
         for (key, entry) in &cache.map {
             assert!(entry.queued <= entry.last_used);
@@ -621,8 +504,8 @@ mod tests {
         }
     }
 
-    fn summary(d: Option<CachedDecision>) -> Option<(usize, Option<usize>)> {
-        d.map(|d| (d.profile.items_sampled, d.selection.map(|s| s.index)))
+    fn summary(d: Option<CachedDecision>) -> Option<(usize, usize)> {
+        d.map(|d| (d.profile.items_sampled, d.selection.index))
     }
 
     proptest! {
@@ -638,20 +521,17 @@ mod tests {
         ) {
             let mut cache = DecisionCache::new(capacity);
             let mut reference = ReferenceCache::new(capacity);
-            let mut generations = [0u64; BUFFERS];
             for (serial, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Get(kernel_id, args) => {
-                        let key = launch_key(kernel_id, &args, &generations);
+                        let key = launch_key(kernel_id, &args);
                         prop_assert_eq!(summary(cache.get(&key)), summary(reference.get(&key)));
                     }
                     Op::Insert(kernel_id, args) => {
-                        let key = launch_key(kernel_id, &args, &generations);
+                        let key = launch_key(kernel_id, &args);
                         cache.insert(key.clone(), decision(serial));
                         reference.insert(key, decision(serial));
                     }
-                    Op::Resize(id) => generations[id] += 1,
-                    Op::Collide(id) => generations[id] = generations[id].saturating_sub(1),
                     Op::InvalidateBuffer(id) => {
                         cache.invalidate_buffer(BufferId(id));
                         reference.invalidate_buffer(BufferId(id));
@@ -667,7 +547,7 @@ mod tests {
                 }
                 prop_assert_eq!(cache.len(), reference.map.len());
                 prop_assert_eq!(cache.stats(), reference.stats);
-                assert_indices_consistent(&cache);
+                assert_lru_consistent(&cache);
             }
         }
     }

@@ -10,6 +10,7 @@
 //! transform valid on integrated parts without CPU/GPU-coherent global
 //! atomics.
 
+use clc::printer::print_expression;
 use clc::visit::{Child, ChildMut};
 use clc::{BinOp, Expr, Kernel, Param, Space, Stmt, Type};
 
@@ -235,7 +236,8 @@ fn is_work_item_query(name: &str) -> bool {
 }
 
 fn non_literal_dimension(name: &str, arg: Option<&Expr>, span: &clc::Span) -> TransformError {
-    TransformError(format!("{} with non-literal dimension {:?} at {}", name, arg, span))
+    let arg = arg.map(print_expression).unwrap_or_default();
+    TransformError(format!("{} with non-literal dimension {} at {}", name, arg, span))
 }
 
 /// [`substitute_stmt`]'s walk, read-only.
@@ -533,6 +535,16 @@ mod tests {
         assert!(src.contains("int dynamic_work,"), "{}", src);
         assert!(src.contains("dynamic_work_0"), "{}", src);
         assert!(src.contains("dop_gpu_mod_0"), "{}", src);
+    }
+
+    #[test]
+    fn non_literal_dimension_is_reported_as_source() {
+        let k = compile1(
+            "__kernel void k(__global float* a, int i) { a[get_global_id(i % 3)] = 1.0f; }",
+        );
+        let err = check_malleable(&k).unwrap_err().to_string();
+        assert!(err.contains("get_global_id with non-literal dimension i % 3"), "{}", err);
+        assert!(!err.contains("Binary {") && !err.contains("Span {"), "{}", err);
     }
 
     #[test]

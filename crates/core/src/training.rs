@@ -6,12 +6,10 @@
 //! workload. The full synthetic grid yields 1,224 x 44 = 53,856 samples —
 //! the paper's "few hours" of profiling collapse to minutes of simulation.
 
-use crate::cache::{CachedDecision, DecisionCache, LaunchKey};
 use crate::configs::DopPoint;
 use crate::features::{extract_code_features, CodeFeatures, FeatureVector};
 use ml::Dataset;
 use sim::{Engine, Memory, Schedule};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::synthetic::SyntheticParams;
 use workloads::BuiltKernel;
@@ -142,42 +140,9 @@ pub fn measure_workload(
     Ok(record_from_profile(engine, built, &profile, space, opts))
 }
 
-/// Like [`measure_workload`] but memoizing the sampled-interpretation
-/// profile in `cache` — the same [`DecisionCache`] the runtime hot path
-/// uses, keyed here by a hash of the workload's name plus its geometry and
-/// argument signature. One profile feeds all 44 simulated configurations,
-/// and repeated sweeps of the same built workload (benchmark iterations,
-/// cross-validation folds) skip re-profiling entirely.
-pub fn measure_workload_cached(
-    engine: &Engine,
-    built: &BuiltKernel,
-    mem: &mut Memory,
-    space: &[DopPoint],
-    opts: &TrainingOptions,
-    cache: &mut DecisionCache,
-) -> Result<WorkloadRecord, sim::interp::ExecError> {
-    let key = LaunchKey::new(workload_key(&built.name), 0, built.nd, &built.args, mem);
-    let profile = match cache.get(&key) {
-        Some(hit) => hit.profile,
-        None => {
-            let p = engine.profile(built.spec(), mem)?;
-            cache.insert(key, CachedDecision { profile: p.clone(), selection: None });
-            p
-        }
-    };
-    Ok(record_from_profile(engine, built, &profile, space, opts))
-}
-
-/// Hash a workload name into the cache's kernel-id slot (the training path
-/// has no [`crate::runtime::PreparedKernel`] to take an id from).
-fn workload_key(name: &str) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    name.hash(&mut h);
-    h.finish()
-}
-
-/// The 44-config simulation sweep over an already-obtained profile.
-fn record_from_profile(
+/// The 44-config simulation sweep over an already-obtained profile, for
+/// callers that profile a workload once and sweep it repeatedly.
+pub fn record_from_profile(
     engine: &Engine,
     built: &BuiltKernel,
     profile: &sim::KernelProfile,
@@ -310,30 +275,6 @@ mod tests {
         assert!(record.times.iter().all(|&t| t > 0.0));
         assert_eq!(record.normalized_perf(record.best_index), 1.0);
         assert!((0..44).all(|i| record.normalized_perf(i) <= 1.0));
-    }
-
-    #[test]
-    fn cached_measure_reuses_the_profile_and_matches_uncached() {
-        let engine = Engine::kaveri();
-        let space = config_space(&engine.platform);
-        let grid = workloads::synthetic::training_grid();
-        let mut mem = Memory::new();
-        let built = grid[0].build(&mut mem, 7);
-        let opts = TrainingOptions::default();
-        let plain = measure_workload(&engine, &built, &mut mem, &space, &opts).unwrap();
-
-        let mut cache = DecisionCache::default();
-        let first =
-            measure_workload_cached(&engine, &built, &mut mem, &space, &opts, &mut cache)
-                .unwrap();
-        let second =
-            measure_workload_cached(&engine, &built, &mut mem, &space, &opts, &mut cache)
-                .unwrap();
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1, "second sweep reuses the profile");
-        assert_eq!(first.times, plain.times, "cached path changes nothing");
-        assert_eq!(second.times, plain.times);
-        assert_eq!(first.best_index, plain.best_index);
     }
 
     #[test]

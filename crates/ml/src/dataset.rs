@@ -1,8 +1,4 @@
-//! Feature-matrix / target-vector containers and split utilities.
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+//! Feature-matrix / target-vector containers.
 
 /// A regression dataset: `n` rows of `d` features plus `n` targets.
 #[derive(Debug, Clone, Default)]
@@ -87,31 +83,6 @@ impl Dataset {
         }
     }
 
-    /// Deterministically shuffled row indices.
-    pub fn shuffled_indices(&self, seed: u64) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(seed));
-        idx
-    }
-
-    /// Split into `k` folds of near-equal size after a seeded shuffle;
-    /// returns (train, test) pairs.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2, "need at least 2 folds");
-        assert!(self.len() >= k, "fewer rows than folds");
-        let idx = self.shuffled_indices(seed);
-        let mut folds = Vec::with_capacity(k);
-        for f in 0..k {
-            let lo = self.len() * f / k;
-            let hi = self.len() * (f + 1) / k;
-            let test: Vec<usize> = idx[lo..hi].to_vec();
-            let train: Vec<usize> =
-                idx[..lo].iter().chain(idx[hi..].iter()).copied().collect();
-            folds.push((self.select(&train), self.select(&test)));
-        }
-        folds
-    }
-
     /// Per-feature (mean, std) for standardization. Zero-variance features
     /// get std 1 so they pass through unchanged.
     pub fn feature_stats(&self) -> Vec<(f64, f64)> {
@@ -158,28 +129,6 @@ mod tests {
         assert!(Dataset::new(vec![vec![1.0], vec![1.0, 2.0]], vec![0.0, 0.0]).is_err());
         assert!(Dataset::new(vec![vec![f64::NAN]], vec![0.0]).is_err());
         assert!(Dataset::new(vec![], vec![]).is_ok());
-    }
-
-    #[test]
-    fn k_folds_partition_everything() {
-        let d = toy(103);
-        let folds = d.k_folds(8, 7);
-        assert_eq!(folds.len(), 8);
-        let total_test: usize = folds.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(total_test, 103);
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 103);
-        }
-    }
-
-    #[test]
-    fn k_folds_deterministic_per_seed() {
-        let d = toy(50);
-        let a = d.k_folds(5, 1);
-        let b = d.k_folds(5, 1);
-        assert_eq!(a[0].1.rows(), b[0].1.rows());
-        let c = d.k_folds(5, 2);
-        assert_ne!(a[0].1.rows(), c[0].1.rows());
     }
 
     #[test]

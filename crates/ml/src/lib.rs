@@ -11,14 +11,12 @@
 //! * [`forest`] — bagged random forests with feature subsampling,
 //! * [`svr`] — epsilon-SVR with an RBF kernel trained by simplified SMO,
 //!
-//! plus [`dataset`] containers, [`crossval`] K-fold utilities (the paper
-//! uses 64-fold CV), [`metrics`], and [`io`] — a plain-text persistence
-//! format so trained models ship with deployments.
+//! plus [`dataset`] containers, [`metrics`], and [`io`] — a plain-text
+//! persistence format so trained models ship with deployments.
 //!
 //! All models implement the [`Regressor`] trait so Dopia can swap them at
 //! runtime, and all randomness is seed-controlled for reproducibility.
 
-pub mod crossval;
 pub mod dataset;
 pub mod io;
 pub mod dtree;
@@ -28,7 +26,6 @@ pub mod linreg;
 pub mod metrics;
 pub mod svr;
 
-pub use crossval::{cross_validate, CrossValReport};
 pub use dataset::Dataset;
 pub use dtree::{DecisionTree, TreeParams};
 pub use forest::{ForestParams, RandomForest};

@@ -1,6 +1,4 @@
-//! Regression metrics and timing helpers.
-
-use std::time::Instant;
+//! Regression metrics.
 
 /// Mean squared error.
 pub fn mse(pred: &[f64], truth: &[f64]) -> f64 {
@@ -15,41 +13,6 @@ pub fn mse(pred: &[f64], truth: &[f64]) -> f64 {
         / pred.len() as f64
 }
 
-/// Mean absolute error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    pred.iter().zip(truth).map(|(p, t)| (p - t).abs()).sum::<f64>() / pred.len() as f64
-}
-
-/// Coefficient of determination (R²). Returns 0 for constant truth.
-pub fn r2(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let mean = truth.iter().sum::<f64>() / truth.len() as f64;
-    let ss_tot: f64 = truth.iter().map(|t| (t - mean) * (t - mean)).sum();
-    if ss_tot < 1e-15 {
-        return 0.0;
-    }
-    let ss_res: f64 = pred
-        .iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum();
-    1.0 - ss_res / ss_tot
-}
-
-/// Wall-clock a closure, returning (result, seconds).
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,8 +21,6 @@ mod tests {
     fn perfect_prediction() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(mse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
-        assert_eq!(r2(&y, &y), 1.0);
     }
 
     #[test]
@@ -67,25 +28,5 @@ mod tests {
         let p = [1.0, 2.0];
         let t = [2.0, 4.0];
         assert_eq!(mse(&p, &t), (1.0 + 4.0) / 2.0);
-        assert_eq!(mae(&p, &t), 1.5);
-    }
-
-    #[test]
-    fn r2_of_mean_predictor_is_zero() {
-        let t = [1.0, 2.0, 3.0];
-        let p = [2.0, 2.0, 2.0];
-        assert!(r2(&p, &t).abs() < 1e-12);
-    }
-
-    #[test]
-    fn constant_truth_r2_is_zero() {
-        assert_eq!(r2(&[1.0, 1.0], &[5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn timed_returns_result() {
-        let (v, secs) = timed(|| 6 * 7);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
     }
 }

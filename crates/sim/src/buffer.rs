@@ -123,17 +123,14 @@ fn synth_f32(seed: u64, idx: usize) -> f32 {
 
 /// The shared memory pool: an arena of buffers addressed by [`BufferId`].
 ///
-/// Every buffer carries a *generation* counter that bumps on shape-changing
-/// operations ([`Memory::resize`], [`Memory::rebind`]). Launch-decision
-/// caches key on `(id, len, generation)`, so a resized or rebound buffer
-/// can never satisfy a stale cached decision. Plain element stores through
-/// [`Memory::get_mut`] deliberately do **not** bump the generation:
-/// decisions depend on shape, not contents, and the profiler itself writes
-/// through `get_mut` on every launch.
+/// A buffer keeps its length and element type for life, like a `cl_mem`
+/// keeps the size it was created with: a host that needs another shape
+/// allocates a new buffer, which gets a new id. Ids are never reused
+/// within one `Memory`. Element stores through [`Memory::get_mut`] change
+/// contents, not shape.
 #[derive(Debug, Default)]
 pub struct Memory {
     buffers: Vec<Buffer>,
-    generations: Vec<u64>,
 }
 
 impl Memory {
@@ -145,7 +142,6 @@ impl Memory {
     pub fn alloc(&mut self, buffer: Buffer) -> BufferId {
         let id = BufferId(self.buffers.len());
         self.buffers.push(buffer);
-        self.generations.push(0);
         id
     }
 
@@ -170,31 +166,6 @@ impl Memory {
 
     pub fn get_mut(&mut self, id: BufferId) -> &mut Buffer {
         &mut self.buffers[id.0]
-    }
-
-    /// Shape-change epoch of a buffer: bumps on [`Memory::resize`] and
-    /// [`Memory::rebind`], never on element stores.
-    pub fn generation(&self, id: BufferId) -> u64 {
-        self.generations[id.0]
-    }
-
-    /// Resize a buffer in place, preserving its element type (real buffers
-    /// zero-fill growth and truncate shrinkage; virtual buffers just change
-    /// their length). Bumps the buffer's generation.
-    pub fn resize(&mut self, id: BufferId, new_len: usize) {
-        match &mut self.buffers[id.0] {
-            Buffer::F32(v) => v.resize(new_len, 0.0),
-            Buffer::I32(v) => v.resize(new_len, 0),
-            Buffer::VirtualF32 { len, .. } => *len = new_len,
-        }
-        self.generations[id.0] += 1;
-    }
-
-    /// Replace a buffer's storage wholesale (the `clCreateBuffer`-over-
-    /// the-same-cl_mem pattern). Bumps the buffer's generation.
-    pub fn rebind(&mut self, id: BufferId, buffer: Buffer) {
-        self.buffers[id.0] = buffer;
-        self.generations[id.0] += 1;
     }
 
     /// Read back a real f32 buffer (panics on ints/virtuals).
@@ -277,26 +248,6 @@ mod tests {
         let before = b.load_f64(3);
         b.store_f64(3, 99.0);
         assert_eq!(b.load_f64(3), before);
-    }
-
-    #[test]
-    fn resize_and_rebind_bump_generation_but_stores_do_not() {
-        let mut mem = Memory::new();
-        let f = mem.alloc_f32(vec![0.0; 4]);
-        assert_eq!(mem.generation(f), 0);
-        mem.get_mut(f).store_f64(0, 1.0);
-        assert_eq!(mem.generation(f), 0, "element stores keep the shape epoch");
-        mem.resize(f, 8);
-        assert_eq!(mem.generation(f), 1);
-        assert_eq!(mem.get(f).len(), 8);
-        assert_eq!(mem.get(f).load_f64(0), 1.0, "resize preserves prefix");
-        mem.rebind(f, Buffer::VirtualF32 { len: 16, seed: 3 });
-        assert_eq!(mem.generation(f), 2);
-        assert_eq!(mem.get(f).len(), 16);
-        let v = mem.alloc_virtual_f32(10, 1);
-        mem.resize(v, 20);
-        assert_eq!(mem.generation(v), 1);
-        assert_eq!(mem.get(v).len(), 20);
     }
 
     #[test]

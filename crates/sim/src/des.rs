@@ -64,9 +64,9 @@ pub struct DesInput {
     pub dram_bw_gbs: f64,
 }
 
-/// Result of a DES run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesReport {
+/// Simulated execution outcome: the result of a DES run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SimReport {
     /// Simulated makespan in seconds.
     pub time_s: f64,
     /// Total DRAM traffic in bytes.
@@ -104,6 +104,13 @@ pub struct DesReport {
     /// Whether the GPU faulted during the run (hang or a missed launch
     /// deadline).
     pub gpu_faulted: bool,
+}
+
+impl SimReport {
+    /// DRAM line transfers (bytes / 64): the paper's "memory requests".
+    pub fn mem_requests(&self) -> f64 {
+        self.dram_bytes / 64.0
+    }
 }
 
 /// Where a dispatch's work-groups came from: the original worklists, the
@@ -256,7 +263,7 @@ fn mem_time(rem_bytes: f64, rate: f64) -> f64 {
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> DesReport {
+pub fn run_des(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> SimReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
     if fast_path_applies(input, plan) {
         let report = run_des_fast(input);
@@ -290,22 +297,22 @@ pub fn fast_path_applies(input: &DesInput, plan: &FaultPlan) -> bool {
 /// agent's in-flight work-groups into a recovery pool and marks the agent
 /// dead. Surviving agents — whatever the schedule — drain the recovery
 /// pool after their own worklists; those completions are reported in
-/// [`DesReport::recovered_groups`]. Only when *every* agent is dead with
+/// [`SimReport::recovered_groups`]. Only when *every* agent is dead with
 /// work outstanding does the run give up, reporting the remainder in
-/// [`DesReport::lost_groups`].
+/// [`SimReport::lost_groups`].
 ///
 /// Deadline semantics: a dispatch still pending when `deadline_s` passes
 /// is a straggler. Its work-groups are reclaimed into a re-dispatch pool
 /// that surviving agents drain after their own worklists — GPU stragglers
 /// land on the CPU pull worklist and vice versa — without waiting for the
 /// watchdog's hang-only reclaim, and the straggler is retired. Those
-/// completions are reported in [`DesReport::redispatched_groups`].
+/// completions are reported in [`SimReport::redispatched_groups`].
 /// Non-finite or non-positive deadlines are ignored.
 ///
 /// # Panics
 /// Panics if `cpu_cores > 0` without `cpu_cost`, or if both devices are
 /// disabled with work remaining.
-pub fn run_des_exact(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> DesReport {
+pub fn run_des_exact(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>) -> SimReport {
     let deadline_s = deadline_s.filter(|d| d.is_finite() && *d > 0.0);
     check_devices(input);
     let Worklists { cpu: mut cpu_pool, gpu: mut gpu_pool, shared, gpu_chunk } =
@@ -612,7 +619,7 @@ pub fn run_des_exact(input: &DesInput, plan: &FaultPlan, deadline_s: Option<f64>
         degraded = true;
     }
 
-    DesReport {
+    SimReport {
         time_s: time,
         dram_bytes,
         cpu_groups,
@@ -660,7 +667,7 @@ enum FastGpu {
 /// exactly; times agree to within accumulated rounding (~1e-12 relative,
 /// contract 1e-9) because the exact loop resolves floating-point residue
 /// in extra micro-events the batch folds away.
-fn run_des_fast(input: &DesInput) -> DesReport {
+fn run_des_fast(input: &DesInput) -> SimReport {
     check_devices(input);
     let Worklists { cpu: mut cpu_pool, gpu: mut gpu_pool, shared, gpu_chunk } =
         Worklists::split(input);
@@ -956,7 +963,7 @@ fn run_des_fast(input: &DesInput) -> DesReport {
     }
 
     let lost_groups = cpu_pool + gpu_pool + shared_pool;
-    DesReport {
+    SimReport {
         time_s: time,
         dram_bytes,
         cpu_groups,
@@ -987,7 +994,7 @@ mod tests {
     }
 
     /// A fault-free run without a deadline.
-    fn run(input: &DesInput) -> DesReport {
+    fn run(input: &DesInput) -> SimReport {
         run_des(input, &FaultPlan::none(), None)
     }
 

@@ -10,7 +10,7 @@ use crate::platform::PlatformConfig;
 use crate::profile::{self, KernelProfile};
 use clc::Kernel;
 
-pub use crate::des::Schedule;
+pub use crate::des::{Schedule, SimReport};
 
 /// A kernel launch: code + arguments + geometry.
 #[derive(Clone, Copy)]
@@ -37,40 +37,6 @@ impl DopConfig {
     pub fn gpu_only(frac: f64) -> Self {
         DopConfig { cpu_cores: 0, gpu_frac: frac }
     }
-}
-
-/// Simulated execution outcome.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimReport {
-    /// Kernel execution time in simulated seconds.
-    pub time_s: f64,
-    /// Total DRAM traffic in bytes.
-    pub dram_bytes: f64,
-    /// DRAM line transfers (bytes / 64) — the paper's "memory requests".
-    pub mem_requests: f64,
-    pub cpu_groups: usize,
-    pub gpu_groups: usize,
-    pub cpu_busy_s: f64,
-    pub gpu_busy_s: f64,
-    /// Work-groups the watchdog reclaimed from a faulted device and a
-    /// surviving device completed (disjoint from `cpu_groups` /
-    /// `gpu_groups`; zero on fault-free runs).
-    pub recovered_groups: usize,
-    /// Work-groups reclaimed from a straggling dispatch by the launch
-    /// deadline and completed by a surviving device (zero unless
-    /// [`Engine::simulate_supervised`] was given a deadline).
-    pub redispatched_groups: usize,
-    /// Work-groups no surviving device could execute (zero unless every
-    /// device died).
-    pub lost_groups: usize,
-    /// Times the watchdog reclaimed in-flight work.
-    pub watchdog_fires: u32,
-    /// Whether the launch survived a capacity-losing fault.
-    pub degraded: bool,
-    /// Whether a CPU core faulted (stall, hang, or missed deadline).
-    pub cpu_faulted: bool,
-    /// Whether the GPU faulted (hang or missed deadline).
-    pub gpu_faulted: bool,
 }
 
 /// The simulation engine for one platform.
@@ -215,26 +181,10 @@ impl Engine {
             schedule,
             dram_bw_gbs: self.platform.mem.dram_bw_gbs,
         };
-        let r = if self.exact_des_only {
+        if self.exact_des_only {
             des::run_des_exact(&input, plan, deadline_s)
         } else {
             des::run_des(&input, plan, deadline_s)
-        };
-        SimReport {
-            time_s: r.time_s,
-            dram_bytes: r.dram_bytes,
-            mem_requests: r.dram_bytes / 64.0,
-            cpu_groups: r.cpu_groups,
-            gpu_groups: r.gpu_groups,
-            cpu_busy_s: r.cpu_busy_s,
-            gpu_busy_s: r.gpu_busy_s,
-            recovered_groups: r.recovered_groups,
-            redispatched_groups: r.redispatched_groups,
-            lost_groups: r.lost_groups,
-            watchdog_fires: r.watchdog_fires,
-            degraded: r.degraded,
-            cpu_faulted: r.cpu_faulted,
-            gpu_faulted: r.gpu_faulted,
         }
     }
 }

@@ -415,7 +415,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
         result.kernel_time_s * 1e3,
         result.report.cpu_groups,
         result.report.gpu_groups,
-        result.report.mem_requests / 1e6
+        result.report.mem_requests() / 1e6
     );
     if result.report.degraded || !result.health.is_nominal() {
         println!(
