@@ -11,8 +11,9 @@
 //! git revision and, for each of the five ratios, the median and
 //! interquartile range of the per-repetition ratios (repetition `i` of the
 //! numerator over repetition `i` of the denominator), so the trajectory
-//! records each ratio's spread. The floors keep judging the ratio of the
-//! two medians.
+//! records each ratio's spread, plus the absolute median insert costs
+//! behind the cache ratio. The floors keep judging the ratio of the two
+//! medians.
 //!
 //! ```sh
 //! cargo run --release -p dopia-bench --bin bench_baseline
@@ -28,6 +29,7 @@ use sim::profile::profile_reference;
 use sim::{Engine, KernelProfile, Memory, Schedule};
 use std::io::Write;
 use std::process::Command;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn median(samples: &[f64]) -> f64 {
@@ -56,31 +58,26 @@ fn ratio_entry(name: &str, num: &[f64], den: &[f64]) -> String {
 }
 
 /// Wall time per insert into a `DEFAULT_CAPACITY` (256) decision cache, in
-/// seconds, for each of `reps` runs: the first 32 inserts into an empty
-/// cache, or 256 inserts into a full one, where every insert evicts.
-/// Building the inputs and dropping the cache stay outside the timed
-/// region.
-fn cache_insert_s(decision: &CachedDecision, full: bool, reps: usize) -> Vec<f64> {
+/// seconds: the first 32 inserts into an empty cache, or 256 inserts into a
+/// full one, where every insert evicts. Building the inputs and dropping
+/// the cache stay outside the timed region.
+fn cache_insert_once(decision: &CachedDecision, full: bool) -> f64 {
     let n = DecisionCache::DEFAULT_CAPACITY;
     let inserts = if full { n } else { 32 };
-    (0..reps)
-        .map(|_| {
-            let mut cache = DecisionCache::default();
-            if full {
-                for (key, decision) in bench_support::distinct_launches(n as u64, n, decision) {
-                    cache.insert(key, decision);
-                }
-            }
-            let batch = bench_support::distinct_launches(0, inserts, decision);
-            let t0 = Instant::now();
-            for (key, decision) in batch {
-                cache.insert(key, decision);
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            std::hint::black_box(&cache);
-            elapsed / inserts as f64
-        })
-        .collect()
+    let mut cache = DecisionCache::default();
+    if full {
+        for (key, decision) in bench_support::distinct_launches(n as u64, n, decision) {
+            cache.insert(key, decision);
+        }
+    }
+    let batch = bench_support::distinct_launches(0, inserts, decision);
+    let t0 = Instant::now();
+    for (key, decision) in batch {
+        cache.insert(key, decision);
+    }
+    let elapsed = t0.elapsed().as_secs_f64();
+    std::hint::black_box(&cache);
+    elapsed / inserts as f64
 }
 
 /// One full pass over the tiny (72-workload) training grid, timed per
@@ -229,9 +226,12 @@ fn main() {
     );
 
     // 5. The decision cache's own insert cost, below and at capacity.
-    let decision = CachedDecision { profile, selection: warm.selection };
-    let insert_empty = cache_insert_s(&decision, false, 101);
-    let insert_full = cache_insert_s(&decision, true, 101);
+    let decision = CachedDecision { profile: Arc::new(profile), selection: warm.selection };
+    // Alternate (empty, full) so both halves of a pair see the same
+    // machine state.
+    let (insert_empty, insert_full): (Vec<f64>, Vec<f64>) = (0..101)
+        .map(|_| (cache_insert_once(&decision, false), cache_insert_once(&decision, true)))
+        .unzip();
     let (insert_empty_s, insert_full_s) = (median(&insert_empty), median(&insert_full));
     let insert_ratio = insert_full_s / insert_empty_s;
     println!(
@@ -273,13 +273,15 @@ fn main() {
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     let line = format!(
-        "{{\"rev\": \"{}\", {}, {}, {}, {}, {}}}\n",
+        "{{\"rev\": \"{}\", {}, {}, {}, {}, {}, \"cache_insert_us\": {{\"empty\": {:.4}, \"full\": {:.4}}}}}\n",
         rev,
         ratio_entry("sweep_72x44", &sweep_exact, &sweep_fast),
         ratio_entry("des_44_sweep", &des_exact, &des_fast),
         ratio_entry("interp", &profile_tree, &profile_vm_precompiled),
         ratio_entry("enqueue", &enqueue_cold, &enqueue_hit),
         ratio_entry("cache", &insert_full, &insert_empty),
+        insert_empty_s * 1e6,
+        insert_full_s * 1e6,
     );
     std::fs::OpenOptions::new()
         .create(true)

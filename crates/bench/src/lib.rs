@@ -67,12 +67,13 @@ pub fn distinct_launches(
     decision: &dopia_core::cache::CachedDecision,
 ) -> Vec<(dopia_core::LaunchKey, dopia_core::cache::CachedDecision)> {
     use dopia_core::cache::ArgSig;
-    let buffer = |id| ArgSig::Buffer { id, len: 16384 * 16384 };
+    let buffer = |id| ArgSig::Buffer { id, len: 16384 * 16384, version: 0 };
     (first..first + n as u64)
         .map(|kernel_id| {
             let key = dopia_core::LaunchKey {
                 kernel_id,
                 code_id: kernel_id,
+                memory_id: 1,
                 nd: sim::NdRange::d1(16384, 256),
                 args: vec![
                     buffer(0),

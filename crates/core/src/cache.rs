@@ -9,40 +9,46 @@
 //! * the **prepared-kernel identity** (a process-unique id stamped at
 //!   `clCreateProgramWithSource` time),
 //! * the **NDRange** (geometry feeds both the profiler and the feature
-//!   vector), and
-//! * the **argument signature** — buffer `(id, len)` pairs plus exact
-//!   scalar values, because scalars feed addressing and loop trip counts
-//!   inside the kernel.
+//!   vector),
+//! * the **memory pool** the buffers live in ([`sim::Memory::id`]), and
+//! * the **argument signature** — buffer `(id, len, content version)`
+//!   triples plus exact scalar values, because scalars feed addressing and
+//!   loop trip counts inside the kernel.
 //!
-//! A buffer keeps its shape for life and ids are never reused within one
-//! [`sim::Memory`], so `(id, len)` names one shape; `len` also makes a
-//! launch miss when a host puts storage of another length behind the same
-//! handle. Contents are not in the key: after an in-place content change
-//! the host calls [`DecisionCache::invalidate_buffer`]. The supervision
+//! Every content change goes through [`sim::Memory::get_mut`], which bumps
+//! the buffer's version, and pool ids are process-unique, so a key names
+//! one content state of every buffer: the cache is exact under in-place
+//! mutation, and a launch whose contents changed misses. The supervision
 //! layer drops a quarantined kernel's entries through
-//! [`DecisionCache::invalidate_kernel`]. Capacity is bounded with exact LRU
-//! eviction. Hit/miss/eviction/invalidation counters surface through
-//! [`crate::RuntimeHealth`] and the CLI health line.
+//! [`DecisionCache::invalidate_kernel`]. A breaker-pinned launch reads an
+//! entry's profile through [`DecisionCache::reuse_profile`], which moves no
+//! hit, miss or LRU state. Capacity is bounded with exact LRU eviction.
+//! Hit/miss/eviction/invalidation/reuse counters surface through
+//! `Dopia::cache_stats` and the CLI `cache :` line, and each launch's hit
+//! or miss through [`crate::RuntimeHealth`].
 //!
 //! Neither a hit nor a miss scans the cache, whatever its size:
 //!
-//! * a hit is one hash lookup plus a `last_used` store;
+//! * a hit is one hash lookup plus a `last_used` store, and hands out the
+//!   profile as a shared [`Arc`];
 //! * eviction pops the oldest of one `(tick, key)` record per entry, kept
 //!   in tick order and left alone by hits; an entry touched since its
 //!   record was queued is re-queued at its real age, so the victim is
 //!   exactly the least-recently-used entry.
 //!
-//! Only the explicit invalidations scan the entries.
+//! Only [`DecisionCache::invalidate_kernel`] scans the entries.
 
 use crate::model::Selection;
-use sim::{ArgValue, BufferId, KernelProfile, Memory, NdRange};
+use sim::{ArgValue, KernelProfile, Memory, NdRange};
 use std::collections::{hash_map, BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Cache-relevant identity of one kernel argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgSig {
-    /// Buffer shape: contents don't matter for decisions, shape does.
-    Buffer { id: usize, len: usize },
+    /// A buffer's identity, length and content version in the launch's
+    /// [`Memory`]: equal signatures mean equal contents.
+    Buffer { id: usize, len: usize, version: u64 },
     Int(i64),
     /// Exact f32 bit pattern (`f32` itself is not `Hash`; bits also keep
     /// NaN payloads distinct instead of poisoning equality).
@@ -57,34 +63,37 @@ pub struct LaunchKey {
     /// from (0 when the kernel has no compiled form). A recompile mints a
     /// fresh id, so decisions never outlive the code they characterized.
     pub code_id: u64,
+    /// [`Memory::id`] of the pool the buffer arguments live in: buffer ids
+    /// restart at 0 in every pool.
+    pub memory_id: u64,
     pub nd: NdRange,
     pub args: Vec<ArgSig>,
 }
 
 impl LaunchKey {
-    /// Build the key for a launch, reading buffer lengths from `mem`.
+    /// Build the key for a launch, reading buffer lengths and content
+    /// versions from `mem`.
     pub fn new(kernel_id: u64, code_id: u64, nd: NdRange, args: &[ArgValue], mem: &Memory) -> Self {
         let args = args
             .iter()
-            .map(|a| match a {
-                ArgValue::Buffer(id) => ArgSig::Buffer { id: id.0, len: mem.get(*id).len() },
-                ArgValue::Int(v) => ArgSig::Int(*v),
+            .map(|a| match *a {
+                ArgValue::Buffer(id) => {
+                    ArgSig::Buffer { id: id.0, len: mem.get(id).len(), version: mem.version(id) }
+                }
+                ArgValue::Int(v) => ArgSig::Int(v),
                 ArgValue::Float(v) => ArgSig::Float(v.to_bits()),
             })
             .collect();
-        LaunchKey { kernel_id, code_id, nd, args }
-    }
-
-    fn references_buffer(&self, id: usize) -> bool {
-        self.args.iter().any(|a| matches!(*a, ArgSig::Buffer { id: b, .. } if b == id))
+        LaunchKey { kernel_id, code_id, memory_id: mem.id(), nd, args }
     }
 }
 
 /// The memoized outcome of one launch's characterization.
 #[derive(Debug, Clone)]
 pub struct CachedDecision {
-    /// The sampled-interpretation profile (the expensive part).
-    pub profile: KernelProfile,
+    /// The sampled-interpretation profile (the expensive part), shared so
+    /// a hit hands it out without copying its sites.
+    pub profile: Arc<KernelProfile>,
     /// The model's DoP selection.
     pub selection: Selection,
 }
@@ -96,6 +105,8 @@ pub struct CacheStats {
     pub misses: u64,
     pub evictions: u64,
     pub invalidations: u64,
+    /// Profiles handed out by [`DecisionCache::reuse_profile`].
+    pub profile_reuses: u64,
 }
 
 #[derive(Debug)]
@@ -122,8 +133,8 @@ pub struct DecisionCache {
 impl DecisionCache {
     /// Default capacity: generously above any realistic distinct-launch
     /// working set (44 configs x a handful of kernels). Lookups, inserts
-    /// and evictions cost the same at any capacity; only the rare explicit
-    /// invalidations scan the entries.
+    /// and evictions cost the same at any capacity; only the rare kernel
+    /// invalidation scans the entries.
     pub const DEFAULT_CAPACITY: usize = 256;
 
     pub fn new(capacity: usize) -> Self {
@@ -150,6 +161,16 @@ impl DecisionCache {
                 None
             }
         }
+    }
+
+    /// The profile of the entry under `key`, for a launch whose
+    /// configuration was decided elsewhere (a breaker pin). Counts a
+    /// profile reuse and nothing else: no hit or miss, no LRU refresh, no
+    /// insert.
+    pub fn reuse_profile(&mut self, key: &LaunchKey) -> Option<Arc<KernelProfile>> {
+        let profile = Arc::clone(&self.map.get(key)?.decision.profile);
+        self.stats.profile_reuses += 1;
+        Some(profile)
     }
 
     /// Insert a decision, evicting the least-recently-used entry at
@@ -192,33 +213,22 @@ impl DecisionCache {
         }
     }
 
-    /// Drop every entry whose key matches `stale`, counting invalidations.
-    fn invalidate_where(&mut self, mut stale: impl FnMut(&LaunchKey) -> bool) {
+    /// Drop every entry for a kernel, counting invalidations. The
+    /// supervision layer calls this when a kernel's model predictions
+    /// enter quarantine: the cached selections were produced by a model
+    /// now known to mispredict for that kernel, so replaying them would
+    /// pin the bad decision past the quarantine.
+    pub fn invalidate_kernel(&mut self, kernel_id: u64) {
         let before = self.map.len();
         let lru = &mut self.lru;
         self.map.retain(|key, entry| {
-            let drop = stale(key);
+            let drop = key.kernel_id == kernel_id;
             if drop {
                 lru.remove(&entry.queued);
             }
             !drop
         });
         self.stats.invalidations += (before - self.map.len()) as u64;
-    }
-
-    /// Drop every entry referencing `id`: the host's hook after it changed
-    /// the buffer's contents in place, which the key does not cover.
-    pub fn invalidate_buffer(&mut self, id: BufferId) {
-        self.invalidate_where(|k| k.references_buffer(id.0));
-    }
-
-    /// Drop every entry for a kernel. The supervision layer calls this
-    /// when a kernel's model predictions enter quarantine: the cached
-    /// selections were produced by a model now known to mispredict for
-    /// that kernel, so replaying them would pin the bad decision past the
-    /// quarantine.
-    pub fn invalidate_kernel(&mut self, kernel_id: u64) {
-        self.invalidate_where(|k| k.kernel_id == kernel_id);
     }
 
     pub fn clear(&mut self) {
@@ -250,6 +260,7 @@ mod tests {
     use super::*;
     use crate::configs::DopPoint;
     use proptest::prelude::*;
+    use sim::BufferId;
 
     fn profile() -> KernelProfile {
         KernelProfile {
@@ -285,19 +296,52 @@ mod tests {
     }
 
     #[test]
-    fn explicit_invalidation_removes_only_matching_buffers() {
+    fn in_place_mutation_and_another_memory_miss() {
         let mut mem = Memory::new();
         let a = mem.alloc_f32(vec![0.0; 16]);
         let b = mem.alloc_f32(vec![0.0; 16]);
         let mut cache = DecisionCache::new(8);
-        let ka = key(&mem, 1, &[ArgValue::Buffer(a)]);
+        let kab = key(&mem, 1, &[ArgValue::Buffer(a), ArgValue::Buffer(b)]);
         let kb = key(&mem, 1, &[ArgValue::Buffer(b)]);
-        cache.insert(ka.clone(), decision(0));
-        cache.insert(kb.clone(), decision(0));
-        cache.invalidate_buffer(a);
-        assert!(cache.get(&ka).is_none());
-        assert!(cache.get(&kb).is_some());
-        assert_eq!(cache.stats().invalidations, 1);
+        cache.insert(kab.clone(), decision(0));
+        cache.insert(kb.clone(), decision(1));
+        // Writing `a` changes every key that reads it, and only those.
+        mem.get_mut(a).store_f64(3, 1.0);
+        assert!(cache.get(&key(&mem, 1, &[ArgValue::Buffer(a), ArgValue::Buffer(b)])).is_none());
+        assert!(cache.get(&key(&mem, 1, &[ArgValue::Buffer(b)])).is_some());
+        // The same ids in another pool name other buffers.
+        let mut other = Memory::new();
+        other.alloc_f32(vec![0.0; 16]);
+        let b_other = other.alloc_f32(vec![0.0; 16]);
+        assert_eq!(b_other, b, "buffer ids restart in every pool");
+        assert!(cache.get(&key(&other, 1, &[ArgValue::Buffer(b_other)])).is_none());
+        // Nothing was pruned: the stale entry ages out through the LRU.
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().invalidations, 0);
+    }
+
+    #[test]
+    fn reuse_profile_moves_no_hit_miss_or_lru_state() {
+        let mem = Memory::new();
+        let mut cache = DecisionCache::new(2);
+        let k1 = key(&mem, 1, &[]);
+        let k2 = key(&mem, 2, &[]);
+        let k3 = key(&mem, 3, &[]);
+        assert!(cache.reuse_profile(&k1).is_none());
+        cache.insert(k1.clone(), decision(7));
+        cache.insert(k2.clone(), decision(8));
+        let reused = cache.reuse_profile(&k1).expect("cached");
+        assert_eq!(reused.items_sampled, 7);
+        assert_eq!(
+            cache.stats(),
+            CacheStats { profile_reuses: 1, ..CacheStats::default() },
+            "a reuse is neither a hit nor a miss"
+        );
+        // k1 stays the least recently used entry, so it is the victim.
+        cache.insert(k3, decision(9));
+        assert!(cache.reuse_profile(&k1).is_none());
+        assert!(cache.reuse_profile(&k2).is_some());
+        assert_eq!(cache.stats().profile_reuses, 2);
     }
 
     #[test]
@@ -390,6 +434,12 @@ mod tests {
             }
         }
 
+        fn reuse_profile(&mut self, key: &LaunchKey) -> Option<Arc<KernelProfile>> {
+            let profile = self.map.get(key)?.decision.profile.clone();
+            self.stats.profile_reuses += 1;
+            Some(profile)
+        }
+
         fn insert(&mut self, key: LaunchKey, decision: CachedDecision) {
             if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
                 if let Some(lru) = self
@@ -404,12 +454,6 @@ mod tests {
             }
             self.tick += 1;
             self.map.insert(key, ReferenceEntry { decision, last_used: self.tick });
-        }
-
-        fn invalidate_buffer(&mut self, id: BufferId) {
-            let before = self.map.len();
-            self.map.retain(|k, _| !k.references_buffer(id.0));
-            self.stats.invalidations += (before - self.map.len()) as u64;
         }
 
         fn invalidate_kernel(&mut self, kernel_id: u64) {
@@ -434,7 +478,10 @@ mod tests {
     enum Op {
         Get(u64, Vec<ArgDraw>),
         Insert(u64, Vec<ArgDraw>),
-        InvalidateBuffer(usize),
+        /// A breaker-pinned launch's profile lookup.
+        Reuse(u64, Vec<ArgDraw>),
+        /// The host writes a buffer in place, then launches a kernel on it.
+        Mutate(usize, u64),
         InvalidateKernel(u64),
         Clear,
     }
@@ -462,28 +509,29 @@ mod tests {
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
             launch().prop_map(|(k, a)| Op::Insert(k, a)),
-            (0..BUFFERS).prop_map(Op::InvalidateBuffer),
+            launch().prop_map(|(k, a)| Op::Reuse(k, a)),
+            ((0..BUFFERS), 0u64..3).prop_map(|(b, k)| Op::Mutate(b, k)),
             (0u64..3).prop_map(Op::InvalidateKernel),
             Just(Op::Clear),
         ]
     }
 
-    fn launch_key(kernel_id: u64, args: &[ArgDraw]) -> LaunchKey {
-        let args = args
+    fn launch_key(mem: &Memory, kernel_id: u64, args: &[ArgDraw]) -> LaunchKey {
+        let args: Vec<ArgValue> = args
             .iter()
             .map(|a| match *a {
-                ArgDraw::Buffer(id) => ArgSig::Buffer { id, len: 16 },
-                ArgDraw::Int(v) => ArgSig::Int(v),
+                ArgDraw::Buffer(id) => ArgValue::Buffer(BufferId(id)),
+                ArgDraw::Int(v) => ArgValue::Int(v),
             })
             .collect();
-        LaunchKey { kernel_id, code_id: 0, nd: NdRange::d1(64, 64), args }
+        key(mem, kernel_id, &args)
     }
 
     /// A decision that names the insert that produced it.
     fn decision(serial: usize) -> CachedDecision {
         let point = DopPoint { cpu_cores: 0, gpu_eighths: 8, cpu_util: 0.0, gpu_util: 1.0 };
         CachedDecision {
-            profile: KernelProfile { items_sampled: serial, ..profile() },
+            profile: Arc::new(KernelProfile { items_sampled: serial, ..profile() }),
             selection: Selection {
                 index: serial,
                 point,
@@ -513,28 +561,44 @@ mod tests {
 
         /// The indexed cache answers every operation sequence exactly as
         /// the scanning reference does: same lookups, same size, same
-        /// hit/miss/eviction/invalidation counters.
+        /// hit/miss/eviction/invalidation/reuse counters. Keys come from a
+        /// real `Memory`, so an in-place write changes them, and a launch
+        /// right after a write misses on both sides.
         #[test]
         fn indexed_cache_matches_the_scanning_reference(
             capacity in 1usize..=8,
             ops in prop::collection::vec(op(), 1..120),
         ) {
+            let mut mem = Memory::new();
+            for _ in 0..BUFFERS {
+                mem.alloc_f32(vec![0.0; 16]);
+            }
             let mut cache = DecisionCache::new(capacity);
             let mut reference = ReferenceCache::new(capacity);
             for (serial, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Get(kernel_id, args) => {
-                        let key = launch_key(kernel_id, &args);
+                        let key = launch_key(&mem, kernel_id, &args);
                         prop_assert_eq!(summary(cache.get(&key)), summary(reference.get(&key)));
                     }
                     Op::Insert(kernel_id, args) => {
-                        let key = launch_key(kernel_id, &args);
+                        let key = launch_key(&mem, kernel_id, &args);
                         cache.insert(key.clone(), decision(serial));
                         reference.insert(key, decision(serial));
                     }
-                    Op::InvalidateBuffer(id) => {
-                        cache.invalidate_buffer(BufferId(id));
-                        reference.invalidate_buffer(BufferId(id));
+                    Op::Reuse(kernel_id, args) => {
+                        let key = launch_key(&mem, kernel_id, &args);
+                        let serial = |p: Option<Arc<KernelProfile>>| p.map(|p| p.items_sampled);
+                        prop_assert_eq!(
+                            serial(cache.reuse_profile(&key)),
+                            serial(reference.reuse_profile(&key))
+                        );
+                    }
+                    Op::Mutate(id, kernel_id) => {
+                        mem.get_mut(BufferId(id)).store_f64(0, serial as f64);
+                        let key = launch_key(&mem, kernel_id, &[ArgDraw::Buffer(id)]);
+                        prop_assert!(cache.get(&key).is_none());
+                        prop_assert!(reference.get(&key).is_none());
                     }
                     Op::InvalidateKernel(kernel_id) => {
                         cache.invalidate_kernel(kernel_id);

@@ -3,6 +3,7 @@
 use super::affine::{Affine, Coef};
 use clc::{AssignOp, BinOp, Expr, Kernel, Scalar, Stmt, Type, UnOp};
 use std::collections::HashMap;
+use std::fmt;
 
 /// The six code features extracted by static analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,6 +26,22 @@ impl CodeFeatures {
     /// Total memory operations.
     pub fn mem_total(&self) -> u32 {
         self.mem_constant + self.mem_continuous + self.mem_stride + self.mem_random
+    }
+}
+
+/// `name=value` pairs in Table 1 order (CLI output).
+impl fmt::Display for CodeFeatures {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "mem_constant={} mem_continuous={} mem_stride={} mem_random={} arith_int={} arith_float={}",
+            self.mem_constant,
+            self.mem_continuous,
+            self.mem_stride,
+            self.mem_random,
+            self.arith_int,
+            self.arith_float
+        )
     }
 }
 
@@ -616,6 +633,20 @@ mod tests {
         assert_eq!(f.mem_continuous, 2, "{:?}", f); // A load + D store
         assert_eq!(f.mem_stride, 2, "{:?}", f); // B and the inner Bi load
         assert_eq!(f.mem_random, 1, "{:?}", f); // C[Bi[..]]
+    }
+
+    #[test]
+    fn display_lists_every_feature_by_name() {
+        let f = features(
+            "__kernel void axpy(__global float* x, __global float* y, float a) {
+                int i = get_global_id(0);
+                y[i] = a * x[i] + y[i];
+            }",
+        );
+        assert_eq!(
+            f.to_string(),
+            "mem_constant=0 mem_continuous=3 mem_stride=0 mem_random=0 arith_int=0 arith_float=2"
+        );
     }
 
     /// Regression: a `for (;;)` with every clause empty (no init, cond or

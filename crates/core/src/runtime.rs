@@ -27,7 +27,7 @@ use crate::supervision::{
 };
 use sim::fault::FaultPlan;
 use sim::{
-    ArgValue, BufferId, CompiledKernel, Engine, KernelProfile, Memory, NdRange, Schedule, SimReport,
+    ArgValue, CompiledKernel, Engine, KernelProfile, Memory, NdRange, Schedule, SimReport,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -278,7 +278,7 @@ impl DecisionSource {
 struct Decision {
     source: DecisionSource,
     selection: Selection,
-    profile: KernelProfile,
+    profile: Arc<KernelProfile>,
     miss_key: Option<LaunchKey>,
 }
 
@@ -401,16 +401,10 @@ impl Dopia {
         self.cache_enabled.load(Ordering::Relaxed)
     }
 
-    /// Cumulative cache counters (hits, misses, evictions, invalidations).
+    /// Cumulative cache counters (hits, misses, evictions, invalidations,
+    /// profile reuses).
     pub fn cache_stats(&self) -> CacheStats {
         self.lock_cache().stats()
-    }
-
-    /// Drop every cached decision that references `id`: the host's hook
-    /// after it changed the buffer's contents in place, which the cache key
-    /// does not cover.
-    pub fn invalidate_buffer(&self, id: BufferId) {
-        self.lock_cache().invalidate_buffer(id);
     }
 
     /// The launch cache. A launch that panicked while holding it may have
@@ -488,13 +482,15 @@ impl Dopia {
     ///
     /// *Decide* honours supervision first: a degraded kernel, an open
     /// breaker's pin and a quarantined model's heuristic are fault-driven,
-    /// so they neither read nor write the decision cache. Otherwise a
-    /// launch whose kernel, NDRange and argument signature (buffer shapes +
-    /// scalar values) are cached skips the profile and the 44-point model
-    /// sweep, and reports its key-build + lookup wall time as
-    /// `selection.inference_s`. *Execute* co-executes, with straggler
-    /// re-dispatch armed by the kernel class's launch history; *observe*
-    /// feeds the outcome back to the supervisor.
+    /// so they never take a cached decision or insert one; a pinned launch
+    /// only reuses a cached profile of its exact signature. Otherwise a
+    /// launch whose kernel, NDRange and argument signature (buffer ids,
+    /// lengths and content versions in one memory pool, plus scalar values)
+    /// are cached skips the profile and the 44-point model sweep, and
+    /// reports its key-build + lookup wall time as `selection.inference_s`.
+    /// *Execute* co-executes, with straggler re-dispatch armed by the
+    /// kernel class's launch history; *observe* feeds the outcome back to
+    /// the supervisor.
     pub fn enqueue_nd_range_kernel(
         &self,
         program: &Program,
@@ -522,7 +518,8 @@ impl Dopia {
         Ok(result)
     }
 
-    /// The decide stage. Profiles at most once, and never on a cache hit.
+    /// The decide stage. Profiles at most once, and never on a cache hit
+    /// or a pinned launch of a cached signature.
     fn decide(
         &self,
         prepared: &PreparedKernel,
@@ -532,7 +529,18 @@ impl Dopia {
         guidance: &LaunchGuidance,
     ) -> Result<Decision, DopiaError> {
         if let Some((source, selection)) = self.override_selection(prepared, guidance) {
-            let profile = self.profile(prepared, args, nd, mem)?;
+            // Degraded kernels never reach the model and quarantine drops
+            // the kernel's entries, so only a pin can find a cached profile.
+            let cached = if source == DecisionSource::Pinned && self.launch_cache_enabled() {
+                let key = LaunchKey::new(prepared.id, prepared.code_id(), nd, args, mem);
+                self.lock_cache().reuse_profile(&key)
+            } else {
+                None
+            };
+            let profile = match cached {
+                Some(profile) => profile,
+                None => Arc::new(self.profile(prepared, args, nd, mem)?),
+            };
             return Ok(Decision { source, selection, profile, miss_key: None });
         }
         let (mut source, mut miss_key) = (DecisionSource::Uncached, None);
@@ -547,7 +555,7 @@ impl Dopia {
             }
             (source, miss_key) = (DecisionSource::CacheMiss, Some(key));
         }
-        let profile = self.profile(prepared, args, nd, mem)?;
+        let profile = Arc::new(self.profile(prepared, args, nd, mem)?);
         let selection = self.model_selection(prepared, nd);
         Ok(Decision { source, selection, profile, miss_key })
     }
@@ -686,7 +694,8 @@ impl Dopia {
         }
     }
 
-    /// Characterize a launch (separated so sweeps can reuse the profile).
+    /// Characterize a launch afresh: no cache is read or written
+    /// (separated so sweeps can reuse the profile).
     pub fn profile(
         &self,
         prepared: &PreparedKernel,

@@ -11,6 +11,12 @@
 //! store would be observable, so correctness tests always use real storage.
 
 use clc::Scalar;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-unique id source for [`Memory`] pools. [`BufferId`]s restart at
+/// 0 in every pool, so a buffer is named across pools by `(pool id,
+/// buffer id)`.
+static NEXT_MEMORY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Handle to a buffer inside a [`Memory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,9 +134,28 @@ fn synth_f32(seed: u64, idx: usize) -> f32 {
 /// allocates a new buffer, which gets a new id. Ids are never reused
 /// within one `Memory`. Element stores through [`Memory::get_mut`] change
 /// contents, not shape.
-#[derive(Debug, Default)]
+///
+/// Every buffer carries a content version. [`Memory::get_mut`] is the only
+/// mutable path and bumps it, so `(Memory::id, BufferId, version)` names
+/// one content state in the process: equal triples mean unchanged
+/// contents. Profile-mode stores never reach `get_mut`; a global atomic
+/// does, even while profiling, because it changes the buffer.
+#[derive(Debug)]
 pub struct Memory {
+    id: u64,
     buffers: Vec<Buffer>,
+    /// Content version per buffer, indexed like `buffers`.
+    versions: Vec<u64>,
+}
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            id: NEXT_MEMORY_ID.fetch_add(1, Ordering::Relaxed),
+            buffers: Vec::new(),
+            versions: Vec::new(),
+        }
+    }
 }
 
 impl Memory {
@@ -138,10 +163,16 @@ impl Memory {
         Memory::default()
     }
 
+    /// Process-unique id of this pool; no two `Memory`s share one.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Allocate a buffer and return its handle.
     pub fn alloc(&mut self, buffer: Buffer) -> BufferId {
         let id = BufferId(self.buffers.len());
         self.buffers.push(buffer);
+        self.versions.push(0);
         id
     }
 
@@ -164,8 +195,18 @@ impl Memory {
         &self.buffers[id.0]
     }
 
+    /// Mutable access to a buffer. Counts as a content change: the
+    /// buffer's [`Memory::version`] goes up whether or not the caller
+    /// writes.
     pub fn get_mut(&mut self, id: BufferId) -> &mut Buffer {
+        self.versions[id.0] += 1;
         &mut self.buffers[id.0]
+    }
+
+    /// Content version of a buffer: 0 at allocation, one more per
+    /// [`Memory::get_mut`].
+    pub fn version(&self, id: BufferId) -> u64 {
+        self.versions[id.0]
     }
 
     /// Read back a real f32 buffer (panics on ints/virtuals).
@@ -229,6 +270,24 @@ mod tests {
         let f = mem.alloc_f32(vec![0.0; 1]);
         mem.get_mut(f).store_i64(0, 3);
         assert_eq!(mem.get(f).load_f64(0), 3.0);
+    }
+
+    #[test]
+    fn get_mut_bumps_only_its_buffers_version() {
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![0.0; 4]);
+        let b = mem.alloc_f32(vec![0.0; 4]);
+        assert_eq!((mem.version(a), mem.version(b)), (0, 0));
+        mem.get_mut(a).store_f64(0, 1.0);
+        mem.get_mut(a).store_f64(1, 1.0);
+        assert_eq!(mem.get(a).load_f64(0), 1.0);
+        assert_eq!((mem.version(a), mem.version(b)), (2, 0));
+    }
+
+    #[test]
+    fn memories_have_distinct_ids() {
+        let (m1, m2) = (Memory::new(), Memory::new());
+        assert_ne!(m1.id(), m2.id());
     }
 
     #[test]

@@ -304,7 +304,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     };
     println!("kernel   : {} ({} params)", prepared.original.name, prepared.original.params.len());
     println!("platform : {}", platform_name);
-    println!("features : {:?}", prepared.features);
+    println!("features : {}", prepared.features);
     if let DegradedMode::GpuOriginalOnly { reason } = &prepared.degraded_mode {
         println!("degraded : GPU-original-only ({})", reason);
     }
@@ -445,12 +445,13 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     );
     let cache = dopia.cache_stats();
     println!(
-        "cache    : {} (hits {} / misses {} / evictions {} / invalidations {})",
+        "cache    : {} (hits {} / misses {} / evictions {} / invalidations {} / profile_reuses {})",
         if dopia.launch_cache_enabled() { "on" } else { "off (--no-launch-cache)" },
         cache.hits,
         cache.misses,
         cache.evictions,
         cache.invalidations,
+        cache.profile_reuses,
     );
 
     if opts.compare {
@@ -578,7 +579,7 @@ fn inspect(argv: &[String]) -> ExitCode {
     };
     for k in &program.kernels {
         println!("=== kernel `{}` ===", k.original.name);
-        println!("features: {:?}\n", k.features);
+        println!("features: {}\n", k.features);
         println!("--- malleable GPU rewrite (1-D) ---\n{}", malleable_listing(k, 1));
         println!(
             "--- generated CPU code (1-D) ---\n{}",

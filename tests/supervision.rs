@@ -309,6 +309,61 @@ fn pinned_decisions_are_never_cached() {
     assert_eq!(dopia.supervision_stats().gpu_breaker, BreakerState::Closed);
 }
 
+/// A breaker-pinned launch of a signature the cache already holds reads
+/// that entry's profile instead of profiling again. It counts a profile
+/// reuse, never a hit or a miss, leaves an armed transient profile failure
+/// alone, and its report is the one a fresh profile gives at the same pin.
+#[test]
+fn pinned_launches_reuse_the_cached_profile() {
+    let mut dopia = dopia_with(Box::new(GpuOnly));
+    dopia.set_supervision_config(SupervisionConfig {
+        breaker_threshold: 1,
+        ..SupervisionConfig::default()
+    });
+    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let prepared = program.kernel("gesummv").unwrap();
+
+    // A healthy model launch caches the signature, then the GPU hangs and
+    // the next launch (a hit) trips its breaker.
+    let first = dopia
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .unwrap();
+    assert_eq!(first.source, DecisionSource::CacheMiss);
+    dopia.set_fault_plan(FaultPlan {
+        gpu_hang_at_dispatch: Some(0),
+        transient_profile_failures: 1,
+        ..FaultPlan::default()
+    });
+    let plan = dopia.fault_plan().unwrap().clone();
+    let trip = dopia
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .unwrap();
+    assert_eq!(trip.health.breaker_trips, 1);
+
+    let before = dopia.cache_stats();
+    let pinned: Vec<LaunchResult> = (0..BREAKER_COOLDOWN)
+        .map(|_| dopia.enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem).unwrap())
+        .collect();
+    let after = dopia.cache_stats();
+    assert_eq!(after.profile_reuses - before.profile_reuses, u64::from(BREAKER_COOLDOWN));
+    assert_eq!(after.hits, before.hits, "a reuse is not a hit");
+    assert_eq!(after.misses, before.misses);
+    // No pinned launch profiled, so the armed failure is still there.
+    let err = dopia.profile(prepared, &args, nd, &mut mem).unwrap_err();
+    assert!(err.is_transient());
+
+    let fresh = dopia.profile(prepared, &args, nd, &mut mem).unwrap();
+    let schedule = Schedule::Dynamic { chunk_divisor: dopia.chunk_divisor };
+    for r in &pinned {
+        assert_eq!(r.source, DecisionSource::Pinned);
+        assert_eq!(r.health.breaker_pinned_launches, 1);
+        assert_eq!(r.health.launch_cache_hits, 0);
+        let pin = r.selection.point.dop();
+        let expected = dopia.engine().simulate_with_faults(&fresh, &nd, pin, schedule, true, &plan);
+        assert_eq!(r.report, expected);
+    }
+}
+
 /// The supervision counters aggregate across a command queue like every
 /// other health counter.
 #[test]
