@@ -50,7 +50,7 @@ fn run_platform(engine: &Engine, csv: &mut CsvWriter) {
     let mut matrix: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
     for built in &suite {
         let profile = engine
-            .profile(built.spec(), &mut mem)
+            .profile(built.spec(), &mem)
             .unwrap_or_else(|e| panic!("{}: {}", built.name, e));
         let times: Vec<f64> = policies
             .iter()

@@ -35,7 +35,7 @@ struct Headline {
 fn headline(engine: &Engine) -> Headline {
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 16384, 256);
-    let profile = engine.profile(built.spec(), &mut mem).expect("profile");
+    let profile = engine.profile(built.spec(), &mem).expect("profile");
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
 
     let mut best = (f64::INFINITY, 0usize);

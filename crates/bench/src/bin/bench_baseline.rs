@@ -142,7 +142,7 @@ fn main() {
     let space = config_space(&fast.platform);
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 16384, 256);
-    let profile = fast.profile(built.spec(), &mut mem).unwrap();
+    let profile = fast.profile(built.spec(), &mem).unwrap();
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
     let des_fast = time_reps(9, || {
         for point in &space {
@@ -168,15 +168,15 @@ fn main() {
     let ck = sim::compile_kernel(&built.kernel).unwrap();
     let profile_tree = time_reps(9, || {
         std::hint::black_box(
-            profile_reference(&built.kernel, &built.args, &built.nd, &mut mem).unwrap(),
+            profile_reference(&built.kernel, &built.args, &built.nd, &mem).unwrap(),
         );
     });
     let profile_vm_s = median(&time_reps(9, || {
-        std::hint::black_box(fast.profile(built.spec(), &mut mem).unwrap());
+        std::hint::black_box(fast.profile(built.spec(), &mem).unwrap());
     }));
     let profile_vm_precompiled = time_reps(9, || {
         std::hint::black_box(
-            fast.profile_compiled(&ck, &built.args, &built.nd, &mut mem).unwrap(),
+            fast.profile_compiled(&ck, &built.args, &built.nd, &mem).unwrap(),
         );
     });
     let (profile_tree_s, profile_vm_precompiled_s) =
@@ -202,16 +202,16 @@ fn main() {
     dopia.set_launch_cache_enabled(false);
     let enqueue_cold = time_reps(9, || {
         dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
     });
     dopia.set_launch_cache_enabled(true);
     let warm = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
         .unwrap();
     let enqueue_hit = time_reps(9, || {
         dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
     });
     let (enqueue_cold_s, enqueue_hit_s) = (median(&enqueue_cold), median(&enqueue_hit));

@@ -18,7 +18,7 @@ fn main() {
     let n = 16384;
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, n, 256);
-    let profile = engine.profile(built.spec(), &mut mem).expect("profile");
+    let profile = engine.profile(built.spec(), &mem).expect("profile");
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
     let max_cores = engine.platform.cpu.cores;
     let pes = engine.platform.gpu_threads();

@@ -35,7 +35,7 @@ fn main() {
     .unwrap();
 
     for built in &kernels {
-        let profile = engine.profile(built.spec(), &mut mem).expect("profile");
+        let profile = engine.profile(built.spec(), &mem).expect("profile");
         banner(&format!(
             "Figure 3: {} on Kaveri, 4 CPU threads, varying GPU utilization",
             built.name

@@ -68,7 +68,7 @@ fn run_platform(engine: &Engine, csv: &mut CsvWriter) {
     let mut ratios: [Vec<f64>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     for built in &suite {
         let profile = engine
-            .profile(built.spec(), &mut mem)
+            .profile(built.spec(), &mem)
             .unwrap_or_else(|e| panic!("{}: {}", built.name, e));
         let stat = baselines::best_static_split(engine, &profile, &built.nd).report.time_s;
         let cpu = baselines::simulate_baseline(engine, &profile, &built.nd, Baseline::Cpu).time_s;

@@ -148,7 +148,7 @@ mod tests {
     fn gesummv_profile(engine: &Engine, n: usize) -> (KernelProfile, NdRange) {
         let mut mem = Memory::new();
         let built = workloads::polybench::gesummv(&mut mem, n, 256);
-        let p = engine.profile(built.spec(), &mut mem).unwrap();
+        let p = engine.profile(built.spec(), &mem).unwrap();
         (p, built.nd)
     }
 

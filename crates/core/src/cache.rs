@@ -18,8 +18,10 @@
 //! Every content change goes through [`sim::Memory::get_mut`], which bumps
 //! the buffer's version, and pool ids are process-unique, so a key names
 //! one content state of every buffer: the cache is exact under in-place
-//! mutation, and a launch whose contents changed misses. The supervision
-//! layer drops a quarantined kernel's entries through
+//! mutation, and a launch whose contents changed misses. A launch changes
+//! nothing the key versions: profiling and enqueueing read `&Memory`, so
+//! a kernel with a global atomic hits on relaunch. The supervision layer
+//! drops a quarantined kernel's entries through
 //! [`DecisionCache::invalidate_kernel`]. A breaker-pinned launch reads an
 //! entry's profile through [`DecisionCache::reuse_profile`], which moves no
 //! hit, miss or LRU state. Capacity is bounded with exact LRU eviction.

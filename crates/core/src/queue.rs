@@ -56,7 +56,7 @@ impl<'d> CommandQueue<'d> {
     /// call returns (the simulated clock advances by its total time).
     ///
     /// Transient errors (injected faults, busy devices) are retried up to
-    /// [`MAX_TRANSIENT_RETRIES`] times with exponential backoff; the
+    /// `MAX_TRANSIENT_RETRIES` times with exponential backoff; the
     /// backoff is simulated time added to the launch's `total_time_s`, and
     /// absorbed retries show up in the result's health counters. Permanent
     /// errors surface immediately.
@@ -66,7 +66,7 @@ impl<'d> CommandQueue<'d> {
         kernel_name: &str,
         args: &[ArgValue],
         nd: NdRange,
-        mem: &mut Memory,
+        mem: &Memory,
     ) -> Result<&QueueEvent, DopiaError> {
         let mut retries = 0u32;
         let mut backoff_s = 0.0f64;
@@ -170,7 +170,7 @@ mod tests {
                 "atax1",
                 &[ArgValue::Buffer(a), ArgValue::Buffer(x), ArgValue::Buffer(tmp), ArgValue::Int(n as i64)],
                 nd,
-                &mut mem,
+                &mem,
             )
             .unwrap();
         queue
@@ -179,7 +179,7 @@ mod tests {
                 "atax2",
                 &[ArgValue::Buffer(a), ArgValue::Buffer(tmp), ArgValue::Buffer(y), ArgValue::Int(n as i64)],
                 nd,
-                &mut mem,
+                &mem,
             )
             .unwrap();
 
@@ -211,7 +211,7 @@ mod tests {
                     "pagerank",
                     &inst.built.args.clone(),
                     inst.built.nd,
-                    &mut mem,
+                    &mem,
                 )
                 .unwrap();
             workloads::pagerank::swap_buffers(&mut inst);
@@ -226,14 +226,14 @@ mod tests {
     fn errors_do_not_record_events() {
         let dopia = dopia();
         let program = dopia.create_program_with_source("__kernel void k(int x) { x = 0; }").unwrap();
-        let mut mem = Memory::new();
+        let mem = Memory::new();
         let mut queue = CommandQueue::new(dopia);
         let err = queue.enqueue_nd_range_kernel(
             &program,
             "missing",
             &[],
             NdRange::d1(64, 64),
-            &mut mem,
+            &mem,
         );
         assert!(err.is_err());
         assert!(queue.events().is_empty());

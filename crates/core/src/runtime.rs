@@ -497,7 +497,7 @@ impl Dopia {
         kernel_name: &str,
         args: &[ArgValue],
         nd: NdRange,
-        mem: &mut Memory,
+        mem: &Memory,
     ) -> Result<LaunchResult, DopiaError> {
         let prepared = program
             .kernel(kernel_name)
@@ -525,7 +525,7 @@ impl Dopia {
         prepared: &PreparedKernel,
         args: &[ArgValue],
         nd: NdRange,
-        mem: &mut Memory,
+        mem: &Memory,
         guidance: &LaunchGuidance,
     ) -> Result<Decision, DopiaError> {
         if let Some((source, selection)) = self.override_selection(prepared, guidance) {
@@ -701,7 +701,7 @@ impl Dopia {
         prepared: &PreparedKernel,
         args: &[ArgValue],
         nd: NdRange,
-        mem: &mut Memory,
+        mem: &Memory,
     ) -> Result<KernelProfile, DopiaError> {
         if self.take_injected_profile_failure() {
             return Err(DopiaError::Transient(
@@ -792,7 +792,7 @@ mod tests {
         let mut mem = Memory::new();
         let built = workloads::polybench::gesummv(&mut mem, 4096, 256);
         let result = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
         assert!(result.total_time_s > result.kernel_time_s);
         assert_eq!(
@@ -809,9 +809,9 @@ mod tests {
         let program = dopia
             .create_program_with_source("__kernel void a() { }")
             .unwrap();
-        let mut mem = Memory::new();
+        let mem = Memory::new();
         let err = dopia
-            .enqueue_nd_range_kernel(&program, "nope", &[], NdRange::d1(64, 64), &mut mem)
+            .enqueue_nd_range_kernel(&program, "nope", &[], NdRange::d1(64, 64), &mem)
             .unwrap_err();
         assert!(matches!(err, DopiaError::UnknownKernel(_)));
     }
@@ -822,14 +822,14 @@ mod tests {
         let program = dopia
             .create_program_with_source("__kernel void a(int x) { x = 0; }")
             .unwrap();
-        let mut mem = Memory::new();
+        let mem = Memory::new();
         let err = dopia
             .enqueue_nd_range_kernel(
                 &program,
                 "a",
                 &[ArgValue::Int(0)],
                 NdRange::d1(100, 64),
-                &mut mem,
+                &mem,
             )
             .unwrap_err();
         assert!(matches!(err, DopiaError::InvalidLaunch(_)));
@@ -851,9 +851,9 @@ mod tests {
             NdRange::d2([0, 64], [16, 16]),      // 2-D zero global
         ];
         for nd in cases {
-            let mut mem = Memory::new();
+            let mem = Memory::new();
             let err = dopia
-                .enqueue_nd_range_kernel(&program, "a", &[ArgValue::Int(0)], nd, &mut mem)
+                .enqueue_nd_range_kernel(&program, "a", &[ArgValue::Int(0)], nd, &mem)
                 .unwrap_err();
             assert!(matches!(err, DopiaError::InvalidLaunch(_)), "{:?}", nd);
             assert!(!err.is_transient(), "{:?}", nd);
@@ -936,7 +936,7 @@ mod tests {
                 "tricky",
                 &[ArgValue::Buffer(a), ArgValue::Int(0)],
                 NdRange::d1(1024, 64),
-                &mut mem,
+                &mem,
             )
             .unwrap();
         assert_eq!(result.report.cpu_groups, 0);
@@ -976,13 +976,13 @@ mod tests {
             let args = [ArgValue::Buffer(a), ArgValue::Int(0)];
             let nd = NdRange::d1(1024, 64);
             let result =
-                dopia.enqueue_nd_range_kernel(&program, "tricky", &args, nd, &mut mem).unwrap();
+                dopia.enqueue_nd_range_kernel(&program, "tricky", &args, nd, &mem).unwrap();
             // Exactly the unmanaged run: the original kernel as one static
             // GPU-only dispatch.
             let point = result.selection.point;
             assert_eq!((point.cpu_cores, point.gpu_eighths), (0, 8));
             let prepared = program.kernel("tricky").unwrap();
-            let profile = dopia.profile(prepared, &args, nd, &mut mem).unwrap();
+            let profile = dopia.profile(prepared, &args, nd, &mem).unwrap();
             let unmanaged = dopia.engine().simulate_with_faults(
                 &profile,
                 &nd,
@@ -1069,7 +1069,7 @@ mod tests {
         let built = workloads::polybench::gesummv(&mut mem, 1024, 256);
 
         let first = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
         assert_eq!(first.health.launch_cache_misses, 1);
         assert_eq!(first.health.launch_cache_hits, 0);
@@ -1082,7 +1082,7 @@ mod tests {
             ..FaultPlan::default()
         });
         let second = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
         assert_eq!(second.health.launch_cache_hits, 1);
         assert_eq!(second.health.launch_cache_misses, 0);
@@ -1100,7 +1100,7 @@ mod tests {
             .expect("gesummv has scalar args");
         *scalar = ArgValue::Float(9.75);
         let err = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &changed, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &changed, built.nd, &mem)
             .unwrap_err();
         assert!(err.is_transient());
 
@@ -1127,11 +1127,11 @@ mod tests {
         let base = dopia.cache_stats();
 
         let first = dopia
-            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mem)
             .unwrap();
         assert_eq!(first.health.launch_cache_misses, 1);
         let warm = dopia
-            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mem)
             .unwrap();
         assert_eq!(warm.health.launch_cache_hits, 1);
 
@@ -1139,7 +1139,7 @@ mod tests {
         // NDRange, but the key's length no longer matches.
         *mem.get_mut(a) = sim::Buffer::F32(vec![1.0; 8192]);
         let after = dopia
-            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "scale", &args, nd, &mem)
             .unwrap();
         assert_eq!(after.health.launch_cache_misses, 1);
         assert_eq!(after.health.launch_cache_hits, 0);
@@ -1169,7 +1169,7 @@ mod tests {
         dopia.set_launch_cache_enabled(false);
         for _ in 0..2 {
             let r = dopia
-                .enqueue_nd_range_kernel(&program, "id", &args, nd, &mut mem)
+                .enqueue_nd_range_kernel(&program, "id", &args, nd, &mem)
                 .unwrap();
             assert_eq!(r.health.launch_cache_hits, 0);
             assert_eq!(r.health.launch_cache_misses, 0);
@@ -1197,13 +1197,13 @@ mod tests {
         let built = workloads::polybench::gesummv(&mut mem, 1024, 256);
         for _ in 0..2 {
             let err = dopia
-                .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+                .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
                 .unwrap_err();
             assert!(err.is_transient(), "injected failures are transient: {}", err);
         }
         // The budget is spent; the third attempt succeeds.
         dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
             .unwrap();
     }
 

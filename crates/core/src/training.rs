@@ -132,7 +132,7 @@ impl WorkloadRecord {
 pub fn measure_workload(
     engine: &Engine,
     built: &BuiltKernel,
-    mem: &mut Memory,
+    mem: &Memory,
     space: &[DopPoint],
     opts: &TrainingOptions,
 ) -> Result<WorkloadRecord, sim::interp::ExecError> {
@@ -191,7 +191,7 @@ pub fn run_grid(
                 }
                 let mut mem = Memory::new();
                 let built = grid[i].build(&mut mem, 0xD0F1A ^ i as u64);
-                let record = measure_workload(engine, &built, &mut mem, space, opts)
+                let record = measure_workload(engine, &built, &mem, space, opts)
                     .unwrap_or_else(|e| panic!("workload {} failed: {}", built.name, e));
                 tx.send((i, record)).expect("collector outlives workers");
             });
@@ -269,7 +269,7 @@ mod tests {
         let mut mem = Memory::new();
         let built = grid[0].build(&mut mem, 7);
         let record =
-            measure_workload(&engine, &built, &mut mem, &space, &TrainingOptions::default())
+            measure_workload(&engine, &built, &mem, &space, &TrainingOptions::default())
                 .unwrap();
         assert_eq!(record.times.len(), 44);
         assert!(record.times.iter().all(|&t| t > 0.0));
@@ -302,7 +302,7 @@ mod tests {
         let mut mem = Memory::new();
         let built = grid[0].build(&mut mem, 7);
         let record =
-            measure_workload(&engine, &built, &mut mem, &space, &TrainingOptions::default())
+            measure_workload(&engine, &built, &mem, &space, &TrainingOptions::default())
                 .unwrap();
         let line = record.to_tsv();
         let back = WorkloadRecord::from_tsv(&line).expect("round trip");

@@ -5,10 +5,10 @@
 //! the property the paper's runtime exploits.
 //!
 //! Large float arrays can be *virtual*: they synthesize deterministic values
-//! on load and ignore stores. This lets the profiler run paper-scale inputs
+//! on load and keep no stores. This lets the profiler run paper-scale inputs
 //! (e.g. a 16,384 x 16,384 Polybench matrix = 1 GiB) without allocating
-//! them. Virtual buffers are rejected by the functional interpreter when a
-//! store would be observable, so correctness tests always use real storage.
+//! them. A full interpreter run that stores to a virtual buffer fails with
+//! an `ExecError`, so correctness checks always use real storage.
 
 use clc::Scalar;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +31,8 @@ pub enum Buffer {
     I32(Vec<i32>),
     /// Virtual f32 array of `len` elements; `load(i)` returns a
     /// deterministic pseudo-random value derived from `i` and `seed`.
-    /// Stores are silently dropped (profile mode only).
+    /// [`Buffer::store_f64`] and [`Buffer::store_i64`] drop stores; a full
+    /// interpreter run rejects them, and a sampled run drops every store.
     VirtualF32 { len: usize, seed: u64 },
 }
 
@@ -138,8 +139,8 @@ fn synth_f32(seed: u64, idx: usize) -> f32 {
 /// Every buffer carries a content version. [`Memory::get_mut`] is the only
 /// mutable path and bumps it, so `(Memory::id, BufferId, version)` names
 /// one content state in the process: equal triples mean unchanged
-/// contents. Profile-mode stores never reach `get_mut`; a global atomic
-/// does, even while profiling, because it changes the buffer.
+/// contents. Only a full interpreter run writes through `get_mut`; the
+/// sampled run the profiler uses reads `&Memory`.
 #[derive(Debug)]
 pub struct Memory {
     id: u64,

@@ -66,7 +66,7 @@ impl Engine {
     /// Characterize a launch by sampled interpretation (no timing).
     /// Compiles the kernel to bytecode on the spot; callers with a cached
     /// [`CompiledKernel`] should use [`Engine::profile_compiled`].
-    pub fn profile(&self, spec: LaunchSpec<'_>, mem: &mut Memory) -> Result<KernelProfile, ExecError> {
+    pub fn profile(&self, spec: LaunchSpec<'_>, mem: &Memory) -> Result<KernelProfile, ExecError> {
         spec.nd
             .validate()
             .map_err(|m| ExecError { message: m, span: spec.kernel.span })?;
@@ -80,7 +80,7 @@ impl Engine {
         ck: &CompiledKernel,
         args: &[ArgValue],
         nd: &NdRange,
-        mem: &mut Memory,
+        mem: &Memory,
     ) -> Result<KernelProfile, ExecError> {
         nd.validate()
             .map_err(|m| ExecError { message: m, span: ck.span() })?;
@@ -234,7 +234,7 @@ mod tests {
         let mut mem = Memory::new();
         let (k, args, nd) = gesummv_launch(&mut mem, 2048);
         let spec = LaunchSpec { kernel: &k, args: &args, nd };
-        let p = engine.profile(spec, &mut mem).unwrap();
+        let p = engine.profile(spec, &mem).unwrap();
         let dop = DopConfig { cpu_cores: 4, gpu_frac: 0.5 };
         let r1 = engine.simulate(&p, &nd, dop, Schedule::Dynamic { chunk_divisor: 10 }, true);
         let r2 = engine.simulate(&p, &nd, dop, Schedule::Dynamic { chunk_divisor: 10 }, true);
@@ -251,7 +251,7 @@ mod tests {
         let mut mem = Memory::new();
         let (k, args, nd) = gesummv_launch(&mut mem, 16384);
         let spec = LaunchSpec { kernel: &k, args: &args, nd };
-        let p = engine.profile(spec, &mut mem).unwrap();
+        let p = engine.profile(spec, &mem).unwrap();
         let sched = Schedule::Dynamic { chunk_divisor: 10 };
         let cpu_only = engine.simulate(&p, &nd, DopConfig::cpu_only(4), sched, false);
         let gpu_only = engine.simulate(&p, &nd, DopConfig::gpu_only(1.0), sched, false);
@@ -277,7 +277,7 @@ mod tests {
         let mut mem = Memory::new();
         let (k, args, nd) = gesummv_launch(&mut mem, 1024);
         let spec = LaunchSpec { kernel: &k, args: &args, nd };
-        let p = engine.profile(spec, &mut mem).unwrap();
+        let p = engine.profile(spec, &mem).unwrap();
         engine.simulate(
             &p,
             &nd,

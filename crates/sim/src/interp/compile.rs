@@ -1,13 +1,13 @@
 //! Ahead-of-time lowering of checked kernels to flat bytecode.
 //!
-//! The tree-walking evaluator in [`super::exec`] re-traverses the AST, does a
-//! name lookup per variable reference and derives access-site identity from
-//! node addresses — all per sampled work-item. This module performs that work
-//! once, at program-prepare time: variables become dense register slots,
-//! access sites become dense `u32` ids (see [`SiteTable`]), affine `for`
-//! loops get their profile-mode extrapolation plan pre-analyzed, and the
-//! whole body becomes a flat [`Insn`] array that [`super::vm`] executes with
-//! a `Vec<Value>` register file.
+//! The tree-walking evaluator ([`super::reference`]) re-traverses the AST,
+//! does a name lookup per variable reference and derives access-site
+//! identity from node addresses — all per sampled work-item. This module
+//! performs that work once, at program-prepare time: variables become dense
+//! register slots, access sites become dense `u32` ids (see [`SiteTable`]),
+//! affine `for` loops get their sampled-run extrapolation plan analyzed,
+//! and the whole body becomes a flat `Insn` array that [`super::vm`]
+//! executes with a `Vec<Value>` register file.
 //!
 //! The lowering is trace-exact: for every kernel the VM must emit the same
 //! tracer events (loads, stores, arith counts, scale regions) in the same
@@ -165,7 +165,7 @@ pub(super) enum Insn {
     Mad { dst: Reg, a: Reg, b: Reg, c: Reg },
     MinMax { is_min: bool, dst: Reg, a: Reg, b: Reg },
     Abs { dst: Reg, src: Reg },
-    /// Profile-mode loop entry: compute the trip count from the induction
+    /// Sampled-run loop entry: compute the trip count from the induction
     /// register and the pre-evaluated bound, then either arm a short full
     /// run (`counter = trips, scaled = 0`) or open a scale region
     /// (`counter = samples, scaled = 1, ffwd = (trips-samples)*delta`

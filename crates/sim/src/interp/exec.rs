@@ -9,23 +9,16 @@
 
 use super::compile::SiteTable;
 use super::tracer::Tracer;
-use super::{loop_fast_forward, loop_trips, Value, PROFILE_LOOP_SAMPLES};
+use super::{
+    in_bounds, item_ids, loop_fast_forward, loop_trips, Full, GlobalView, Sampled, Value,
+    PROFILE_LOOP_SAMPLES,
+};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
 use clc::visit::Child;
 use clc::{AssignOp, BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Execution mode; see module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Faithful functional execution.
-    Full,
-    /// Sampling/profiling execution: global stores suppressed, analyzable
-    /// loops extrapolated.
-    Profile,
-}
 
 /// Runtime error (out-of-bounds access, division by zero, unsupported
 /// construct, argument mismatch).
@@ -60,7 +53,7 @@ enum Flow {
     Return,
 }
 
-/// Result of analyzing an affine `for` loop for profile-mode extrapolation.
+/// Result of analyzing an affine `for` loop for sampled-run extrapolation.
 struct LoopPlan {
     /// Induction variable name.
     var: String,
@@ -190,7 +183,6 @@ fn run_work_group<T: Tracer>(
     nd: &NdRange,
     group_linear: usize,
     mem: &mut Memory,
-    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let phases = split_phases(&kernel.body, kernel.span)?;
@@ -208,15 +200,10 @@ fn run_work_group<T: Tracer>(
                 continue;
             }
             let local = nd.local_coords(linear);
-            let gid = [
-                group[0] * nd.local[0] + local[0] + nd.offset[0],
-                group[1] * nd.local[1] + local[1] + nd.offset[1],
-                group[2] * nd.local[2] + local[2] + nd.offset[2],
-            ];
+            let gid = std::array::from_fn(|d| group[d] * nd.local[d] + local[d] + nd.offset[d]);
             let mut interp = Interp {
-                mem,
+                global: Full(&mut *mem),
                 tracer,
-                mode,
                 sites: &sites,
                 locals: &mut locals,
                 item,
@@ -245,32 +232,34 @@ fn run_work_group<T: Tracer>(
     Ok(())
 }
 
-/// Execute the whole NDRange functionally (every group, every item).
+/// The full run: execute the whole NDRange functionally (every group,
+/// every item), writing stores and atomics to `mem`.
 pub fn run_kernel<T: Tracer>(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     nd.validate().map_err(|m| ExecError::new(m, kernel.span))?;
     for g in 0..nd.num_groups() {
-        run_work_group(kernel, args, nd, g, mem, mode, tracer)?;
+        run_work_group(kernel, args, nd, g, mem, tracer)?;
     }
     Ok(())
 }
 
-/// Execute specific work-items by *global linear id* (dimension 0 fastest),
-/// each in its own single-item context. Used by the profiler; kernels with
-/// barriers are rejected (profiling targets original, barrier-free kernels).
+/// The sampled run: execute specific work-items by *global linear id*
+/// (dimension 0 fastest), each in its own single-item context, reading
+/// `mem` and never writing it: stores are dropped and global atomics
+/// live in an overlay for the one call. Used by the profiler; kernels
+/// with barriers are rejected (profiling targets original, barrier-free
+/// kernels).
 pub fn run_single_items<T: Tracer>(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
     global_ids: &[usize],
-    mem: &mut Memory,
-    mode: Mode,
+    mem: &Memory,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let phases = split_phases(&kernel.body, kernel.span)?;
@@ -282,34 +271,16 @@ pub fn run_single_items<T: Tracer>(
     }
     let params = bind_params(kernel, args, mem)?;
     let sites = SiteTable::build(kernel);
+    let mut atomics = HashMap::new();
     for &linear in global_ids {
         tracer.begin_item();
-        // Decompose the linear id into per-dimension global coordinates.
-        let g0 = nd.global[0];
-        let g1 = nd.global[1];
-        let gid3 = [linear % g0, (linear / g0) % g1, linear / (g0 * g1)];
-        let gid = [
-            gid3[0] + nd.offset[0],
-            gid3[1] + nd.offset[1],
-            gid3[2] + nd.offset[2],
-        ];
-        let lid = [
-            gid3[0] % nd.local[0],
-            gid3[1] % nd.local[1],
-            gid3[2] % nd.local[2],
-        ];
-        let grp = [
-            gid3[0] / nd.local[0],
-            gid3[1] / nd.local[1],
-            gid3[2] / nd.local[2],
-        ];
+        let [gid, lid, grp] = item_ids(nd, linear);
         let mut locals = Locals::default();
         let mut item =
             ItemState { scopes: vec![params.clone()], priv_arrays: Vec::new(), returned: false };
         let mut interp = Interp {
-            mem,
+            global: Sampled { mem, atomics: &mut atomics },
             tracer,
-            mode,
             sites: &sites,
             locals: &mut locals,
             item: &mut item,
@@ -327,10 +298,9 @@ pub fn run_single_items<T: Tracer>(
     Ok(())
 }
 
-struct Interp<'a, T: Tracer> {
-    mem: &'a mut Memory,
+struct Interp<'a, T: Tracer, G: GlobalView> {
+    global: G,
     tracer: &'a mut T,
-    mode: Mode,
     sites: &'a SiteTable,
     locals: &'a mut Locals,
     item: &'a mut ItemState,
@@ -340,7 +310,7 @@ struct Interp<'a, T: Tracer> {
     grp: [usize; 3],
 }
 
-impl<'a, T: Tracer> Interp<'a, T> {
+impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
     // ----- scopes ----------------------------------------------------------
 
     fn push_scope(&mut self) {
@@ -514,8 +484,8 @@ impl<'a, T: Tracer> Interp<'a, T> {
             self.exec_stmt(init)?;
         }
 
-        // Profile-mode extrapolation for analyzable loops.
-        if self.mode == Mode::Profile {
+        // Sampled-run extrapolation for analyzable loops.
+        if G::SAMPLED {
             if let (Some(cond), Some(step)) = (cond, step) {
                 if let Some(plan) = self.analyze_loop(init.as_deref(), cond, step, body)? {
                     let flow = self.run_extrapolated(&plan, cond, step, body)?;
@@ -548,7 +518,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
         Ok(flow)
     }
 
-    // ----- profile-mode loop extrapolation ----------------------------------
+    // ----- sampled-run loop extrapolation -----------------------------------
 
     /// Try to recognize `for (i = i0; i <op> bound; i += d)` with a body
     /// that never writes `i`. Returns the extrapolation plan (trip count and
@@ -815,41 +785,17 @@ impl<'a, T: Tracer> Interp<'a, T> {
         match ptr {
             Value::GlobalPtr { buf, offset, elem } => {
                 let i = offset + idx;
-                let b = self.mem.get(buf);
-                if i < 0 || i as usize >= b.len() {
-                    return Err(ExecError::new(
-                        format!("load index {} out of bounds ({} elements)", i, b.len()),
-                        expr.span(),
-                    ));
-                }
+                let at = self.global.load_index(buf, i, expr.span())?;
                 self.tracer.load(site, buf, i, elem.size_bytes());
-                Ok(if elem.is_float() {
-                    Value::Float(b.load_f64(i as usize) as f32)
-                } else {
-                    Value::Int(b.load_i64(i as usize))
-                })
+                Ok(self.global.read(buf, at, elem))
             }
             Value::LocalPtr { arr, offset } => {
                 let a = &self.locals.arrays[arr];
-                let i = offset + idx;
-                if i < 0 || i as usize >= a.len() {
-                    return Err(ExecError::new(
-                        format!("local load index {} out of bounds ({})", i, a.len()),
-                        expr.span(),
-                    ));
-                }
-                Ok(a[i as usize])
+                Ok(a[in_bounds("local load", offset + idx, a.len(), expr.span())?])
             }
             Value::PrivPtr { arr, offset } => {
                 let a = &self.item.priv_arrays[arr];
-                let i = offset + idx;
-                if i < 0 || i as usize >= a.len() {
-                    return Err(ExecError::new(
-                        format!("private load index {} out of bounds ({})", i, a.len()),
-                        expr.span(),
-                    ));
-                }
-                Ok(a[i as usize])
+                Ok(a[in_bounds("private load", offset + idx, a.len(), expr.span())?])
             }
             other => Err(ExecError::new(
                 format!("cannot index non-pointer value {:?}", other),
@@ -874,46 +820,20 @@ impl<'a, T: Tracer> Interp<'a, T> {
                 match ptr {
                     Value::GlobalPtr { buf, offset, elem } => {
                         let i = offset + idx;
-                        let len = self.mem.get(buf).len();
-                        if i < 0 || i as usize >= len {
-                            return Err(ExecError::new(
-                                format!("store index {} out of bounds ({} elements)", i, len),
-                                target.span(),
-                            ));
-                        }
+                        self.global.store(buf, i, elem, value, target.span())?;
                         self.tracer.store(site, buf, i, elem.size_bytes());
-                        if self.mode == Mode::Full {
-                            let b = self.mem.get_mut(buf);
-                            if elem.is_float() {
-                                b.store_f64(i as usize, value.as_f32() as f64);
-                            } else {
-                                b.store_i64(i as usize, value.as_i64());
-                            }
-                        }
                         Ok(())
                     }
                     Value::LocalPtr { arr, offset } => {
                         let a = &mut self.locals.arrays[arr];
-                        let i = offset + idx;
-                        if i < 0 || i as usize >= a.len() {
-                            return Err(ExecError::new(
-                                format!("local store index {} out of bounds ({})", i, a.len()),
-                                target.span(),
-                            ));
-                        }
-                        a[i as usize] = value;
+                        let i = in_bounds("local store", offset + idx, a.len(), target.span())?;
+                        a[i] = value;
                         Ok(())
                     }
                     Value::PrivPtr { arr, offset } => {
                         let a = &mut self.item.priv_arrays[arr];
-                        let i = offset + idx;
-                        if i < 0 || i as usize >= a.len() {
-                            return Err(ExecError::new(
-                                format!("private store index {} out of bounds ({})", i, a.len()),
-                                target.span(),
-                            ));
-                        }
-                        a[i as usize] = value;
+                        let i = in_bounds("private store", offset + idx, a.len(), target.span())?;
+                        a[i] = value;
                         Ok(())
                     }
                     other => Err(ExecError::new(
@@ -1065,16 +985,7 @@ impl<'a, T: Tracer> Interp<'a, T> {
                 Ok(Value::Int(old))
             }
             Value::GlobalPtr { buf, offset, .. } => {
-                let b = self.mem.get_mut(buf);
-                let i = offset as usize;
-                if i >= b.len() {
-                    return Err(ExecError::new("atomic index out of bounds", span));
-                }
-                let old = b.load_i64(i);
-                // Atomics take effect even in profile mode: they carry
-                // scheduling state (worklists), not workload data.
-                b.store_i64(i, f(old));
-                Ok(Value::Int(old))
+                Ok(Value::Int(self.global.atomic(buf, offset, span, f)?))
             }
             Value::PrivPtr { arr, offset } => {
                 let a = &mut self.item.priv_arrays[arr];
@@ -1228,7 +1139,7 @@ mod tests {
 
     fn run(src: &str, args: &[ArgValue], nd: NdRange, mem: &mut Memory) {
         let k = compile1(src);
-        run_kernel(&k, args, &nd, mem, Mode::Full, &mut NullTracer).unwrap();
+        run_kernel(&k, args, &nd, mem, &mut NullTracer).unwrap();
     }
 
     #[test]
@@ -1345,7 +1256,6 @@ mod tests {
                 &[],
                 &NdRange::d1(4, 4),
                 &mut mem,
-                Mode::Full,
                 &mut NullTracer,
             )
             .unwrap_err();
@@ -1365,7 +1275,6 @@ mod tests {
             &[ArgValue::Buffer(a)],
             &NdRange::d1(4, 2),
             &mut mem,
-            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1381,7 +1290,6 @@ mod tests {
             &[ArgValue::Int(1), ArgValue::Int(0)],
             &NdRange::d1(1, 1),
             &mut mem,
-            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1397,7 +1305,6 @@ mod tests {
             &[],
             &NdRange::d1(1, 1),
             &mut mem,
-            Mode::Full,
             &mut NullTracer,
         )
         .unwrap_err();
@@ -1415,8 +1322,7 @@ mod tests {
             &[ArgValue::Buffer(a)],
             &NdRange::d1(4, 4),
             &[0, 1],
-            &mut mem,
-            Mode::Profile,
+            &mem,
             &mut t,
         )
         .unwrap();
@@ -1442,8 +1348,7 @@ mod tests {
             &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(1000)],
             &NdRange::d1(1, 1),
             &[0],
-            &mut mem,
-            Mode::Profile,
+            &mem,
             &mut t,
         )
         .unwrap();
@@ -1457,29 +1362,31 @@ mod tests {
 
     #[test]
     fn profile_and_full_agree_on_counts_for_short_loops() {
+        /// Counts accesses without item boundaries, so a full run can
+        /// feed it too.
+        #[derive(Default)]
+        struct Accesses(f64);
+        impl Tracer for Accesses {
+            fn load(&mut self, _: u32, _: crate::BufferId, _: i64, _: usize) {
+                self.0 += 1.0;
+            }
+            fn store(&mut self, _: u32, _: crate::BufferId, _: i64, _: usize) {
+                self.0 += 1.0;
+            }
+        }
         let src = "__kernel void f(__global float* a, float s, int n) {
             for (int i = 0; i < n; i++) { s = s + a[i]; }
             a[0] = s;
         }";
         let k = compile1(src);
         let nd = NdRange::d1(1, 1);
-        let count_with = |mode: Mode| {
-            let mut mem = Memory::new();
-            let a = mem.alloc_f32(vec![1.0; 8]);
-            let mut t = ProfileTracer::new(1, SiteTable::build(&k).len());
-            run_single_items(
-                &k,
-                &[ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(8)],
-                &nd,
-                &[0],
-                &mut mem,
-                mode,
-                &mut t,
-            )
-            .unwrap();
-            t.total_accesses(0)
-        };
-        assert_eq!(count_with(Mode::Full), count_with(Mode::Profile));
+        let mut mem = Memory::new();
+        let a = mem.alloc_f32(vec![1.0; 8]);
+        let args = [ArgValue::Buffer(a), ArgValue::Float(0.0), ArgValue::Int(8)];
+        let (mut sampled, mut full) = (Accesses::default(), Accesses::default());
+        run_single_items(&k, &args, &nd, &[0], &mem, &mut sampled).unwrap();
+        run_kernel(&k, &args, &nd, &mut mem, &mut full).unwrap();
+        assert_eq!(full.0, sampled.0);
     }
 
     #[test]
@@ -1503,8 +1410,7 @@ mod tests {
             &[ArgValue::Buffer(rp), ArgValue::Buffer(v), ArgValue::Buffer(out)],
             &NdRange::d1(2, 1),
             &[1],
-            &mut mem,
-            Mode::Profile,
+            &mem,
             &mut t,
         )
         .unwrap();
@@ -1599,8 +1505,7 @@ mod tests {
             }",
         );
         let nd = NdRange::d1(16, 8).with_offset([32, 0, 0]);
-        run_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem, Mode::Full, &mut NullTracer)
-            .unwrap();
+        run_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem, &mut NullTracer).unwrap();
         let out = mem.read_i32(a);
         assert!(out[..32].iter().all(|&v| v == 0));
         assert!(out[32..48].iter().all(|&v| v == 33));

@@ -27,13 +27,13 @@ pub trait Tracer {
     /// A load of `elem_bytes` bytes at element `idx` of `buf` from the site
     /// keyed by `site`.
     fn load(&mut self, _site: SiteKey, _buf: BufferId, _idx: i64, _elem_bytes: usize) {}
-    /// A store (profile mode suppresses the actual write but still traces).
+    /// A store (a sampled run drops the actual write but still traces).
     fn store(&mut self, _site: SiteKey, _buf: BufferId, _idx: i64, _elem_bytes: usize) {}
     /// `count` arithmetic operations, float or integer.
     fn arith(&mut self, _is_float: bool, _count: f64) {}
     /// Begin a scaling region: everything recorded after this call until the
     /// matching [`Tracer::end_scale`] is multiplied by `factor`. Used by the
-    /// profile-mode loop extrapolation. Regions nest multiplicatively.
+    /// sampled-run loop extrapolation. Regions nest multiplicatively.
     fn begin_scale(&mut self, _factor: f64) {}
     fn end_scale(&mut self) {}
 }

@@ -3,25 +3,28 @@
 //!
 //! Every instruction handler reproduces the corresponding tree-walker
 //! behaviour *exactly* — same tracer events in the same order, same error
-//! messages, same arithmetic (including the shared [`binary_op`] kernel and
+//! messages, same arithmetic (including the shared `binary_op` kernel and
 //! the same overflow/panic behaviour on degenerate inputs). Every profile
 //! and every functional run executes on this VM; the tree-walker survives
 //! only as the oracle the differential suite in
 //! `tests/bytecode_equivalence.rs` pins it against.
 
 use super::compile::{AtomicFn, CompiledKernel, IdFn, Insn, LocalSpec, Math1Fn, Math2Fn, Phase};
-use super::exec::{bind_args, binary_op, ExecError, ExecResult, Mode};
+use super::exec::{bind_args, binary_op, ExecError, ExecResult};
 use super::tracer::Tracer;
-use super::{loop_fast_forward, loop_trips, Value, PROFILE_LOOP_SAMPLES};
+use super::{
+    in_bounds, item_ids, loop_fast_forward, loop_trips, Full, GlobalView, Sampled, Value,
+    PROFILE_LOOP_SAMPLES,
+};
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
 use clc::UnOp;
+use std::collections::HashMap;
 
 /// Per-dispatch execution context: one work-item's view of the world.
-struct Vm<'a, T: Tracer> {
-    mem: &'a mut Memory,
+struct Vm<'a, T: Tracer, G: GlobalView> {
+    global: G,
     tracer: &'a mut T,
-    mode: Mode,
     nd: &'a NdRange,
     gid: [usize; 3],
     lid: [usize; 3],
@@ -34,14 +37,14 @@ struct Vm<'a, T: Tracer> {
     priv_arrays: &'a mut Vec<Vec<Value>>,
 }
 
-impl<'a, T: Tracer> Vm<'a, T> {
+impl<'a, T: Tracer, G: GlobalView> Vm<'a, T, G> {
     /// Run one phase to completion. Returns `true` if the item executed a
     /// `return` (it then skips all remaining phases).
     fn run_phase(&mut self, phase: &Phase, regs: &mut [Value]) -> ExecResult<bool> {
         let code = &phase.code;
         let spans = &phase.spans;
         let mut pc = 0usize;
-        // Open scale regions (profile-mode loop extrapolation). `return`
+        // Open scale regions (sampled-run loop extrapolation). `return`
         // unwinds them all, exactly like Flow::Return propagating out of
         // nested extrapolated loops in the tree-walker.
         let mut scale_depth = 0usize;
@@ -95,7 +98,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                     }
                 }
                 Insn::JumpIfFull { to } => {
-                    if self.mode == Mode::Full {
+                    if !G::SAMPLED {
                         pc = to as usize;
                         continue;
                     }
@@ -105,49 +108,17 @@ impl<'a, T: Tracer> Vm<'a, T> {
                     regs[dst as usize] = match regs[ptr as usize] {
                         Value::GlobalPtr { buf, offset, elem } => {
                             let i = offset + idx;
-                            let b = self.mem.get(buf);
-                            if i < 0 || i as usize >= b.len() {
-                                return Err(ExecError::new(
-                                    format!(
-                                        "load index {} out of bounds ({} elements)",
-                                        i,
-                                        b.len()
-                                    ),
-                                    span,
-                                ));
-                            }
+                            let at = self.global.load_index(buf, i, span)?;
                             self.tracer.load(site, buf, i, elem.size_bytes());
-                            if elem.is_float() {
-                                Value::Float(b.load_f64(i as usize) as f32)
-                            } else {
-                                Value::Int(b.load_i64(i as usize))
-                            }
+                            self.global.read(buf, at, elem)
                         }
                         Value::LocalPtr { arr, offset } => {
                             let a = self.locals[arr].as_ref().expect("local bound before use");
-                            let i = offset + idx;
-                            if i < 0 || i as usize >= a.len() {
-                                return Err(ExecError::new(
-                                    format!("local load index {} out of bounds ({})", i, a.len()),
-                                    span,
-                                ));
-                            }
-                            a[i as usize]
+                            a[in_bounds("local load", offset + idx, a.len(), span)?]
                         }
                         Value::PrivPtr { arr, offset } => {
                             let a = &self.priv_arrays[arr];
-                            let i = offset + idx;
-                            if i < 0 || i as usize >= a.len() {
-                                return Err(ExecError::new(
-                                    format!(
-                                        "private load index {} out of bounds ({})",
-                                        i,
-                                        a.len()
-                                    ),
-                                    span,
-                                ));
-                            }
-                            a[i as usize]
+                            a[in_bounds("private load", offset + idx, a.len(), span)?]
                         }
                         other => {
                             return Err(ExecError::new(
@@ -163,48 +134,18 @@ impl<'a, T: Tracer> Vm<'a, T> {
                     match regs[ptr as usize] {
                         Value::GlobalPtr { buf, offset, elem } => {
                             let i = offset + idx;
-                            let len = self.mem.get(buf).len();
-                            if i < 0 || i as usize >= len {
-                                return Err(ExecError::new(
-                                    format!("store index {} out of bounds ({} elements)", i, len),
-                                    span,
-                                ));
-                            }
+                            self.global.store(buf, i, elem, value, span)?;
                             self.tracer.store(site, buf, i, elem.size_bytes());
-                            if self.mode == Mode::Full {
-                                let b = self.mem.get_mut(buf);
-                                if elem.is_float() {
-                                    b.store_f64(i as usize, value.as_f32() as f64);
-                                } else {
-                                    b.store_i64(i as usize, value.as_i64());
-                                }
-                            }
                         }
                         Value::LocalPtr { arr, offset } => {
                             let a = self.locals[arr].as_mut().expect("local bound before use");
-                            let i = offset + idx;
-                            if i < 0 || i as usize >= a.len() {
-                                return Err(ExecError::new(
-                                    format!("local store index {} out of bounds ({})", i, a.len()),
-                                    span,
-                                ));
-                            }
-                            a[i as usize] = value;
+                            let i = in_bounds("local store", offset + idx, a.len(), span)?;
+                            a[i] = value;
                         }
                         Value::PrivPtr { arr, offset } => {
                             let a = &mut self.priv_arrays[arr];
-                            let i = offset + idx;
-                            if i < 0 || i as usize >= a.len() {
-                                return Err(ExecError::new(
-                                    format!(
-                                        "private store index {} out of bounds ({})",
-                                        i,
-                                        a.len()
-                                    ),
-                                    span,
-                                ));
-                            }
-                            a[i as usize] = value;
+                            let i = in_bounds("private store", offset + idx, a.len(), span)?;
+                            a[i] = value;
                         }
                         other => {
                             return Err(ExecError::new(
@@ -310,16 +251,7 @@ impl<'a, T: Tracer> Vm<'a, T> {
                             Value::Int(old)
                         }
                         Value::GlobalPtr { buf, offset, .. } => {
-                            let b = self.mem.get_mut(buf);
-                            let i = offset as usize;
-                            if i >= b.len() {
-                                return Err(ExecError::new("atomic index out of bounds", span));
-                            }
-                            let old = b.load_i64(i);
-                            // Atomics take effect even in profile mode: they
-                            // carry scheduling state, not workload data.
-                            b.store_i64(i, apply(old));
-                            Value::Int(old)
+                            Value::Int(self.global.atomic(buf, offset, span, apply)?)
                         }
                         Value::PrivPtr { arr, offset } => {
                             let arr = &mut self.priv_arrays[arr];
@@ -466,7 +398,6 @@ fn run_work_group<T: Tracer>(
     nd: &NdRange,
     group_linear: usize,
     mem: &mut Memory,
-    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     let params = bind_args(&ck.name, &ck.params, ck.span, args, mem)?;
@@ -486,15 +417,10 @@ fn run_work_group<T: Tracer>(
                 continue;
             }
             let local = nd.local_coords(linear);
-            let gid = [
-                group[0] * nd.local[0] + local[0] + nd.offset[0],
-                group[1] * nd.local[1] + local[1] + nd.offset[1],
-                group[2] * nd.local[2] + local[2] + nd.offset[2],
-            ];
+            let gid = std::array::from_fn(|d| group[d] * nd.local[d] + local[d] + nd.offset[d]);
             let mut vm = Vm {
-                mem,
+                global: Full(&mut *mem),
                 tracer,
-                mode,
                 nd,
                 gid,
                 lid: local,
@@ -511,32 +437,34 @@ fn run_work_group<T: Tracer>(
     Ok(())
 }
 
-/// Execute the whole NDRange functionally (every group, every item).
+/// The full run: execute the whole NDRange functionally (every group,
+/// every item), writing stores and atomics to `mem`.
 pub fn run_kernel<T: Tracer>(
     ck: &CompiledKernel,
     args: &[ArgValue],
     nd: &NdRange,
     mem: &mut Memory,
-    mode: Mode,
     tracer: &mut T,
 ) -> ExecResult<()> {
     nd.validate().map_err(|m| ExecError::new(m, ck.span))?;
     for g in 0..nd.num_groups() {
-        run_work_group(ck, args, nd, g, mem, mode, tracer)?;
+        run_work_group(ck, args, nd, g, mem, tracer)?;
     }
     Ok(())
 }
 
-/// Execute specific work-items by *global linear id* (dimension 0 fastest),
-/// each in its own single-item context. Used by the profiler; kernels with
-/// barriers are rejected (profiling targets original, barrier-free kernels).
+/// The sampled run: execute specific work-items by *global linear id*
+/// (dimension 0 fastest), each in its own single-item context, reading
+/// `mem` and never writing it: stores are dropped and global atomics
+/// live in an overlay for the one call. Used by the
+/// profiler; kernels with barriers are rejected (profiling targets
+/// original, barrier-free kernels).
 pub fn run_single_items<T: Tracer>(
     ck: &CompiledKernel,
     args: &[ArgValue],
     nd: &NdRange,
     global_ids: &[usize],
-    mem: &mut Memory,
-    mode: Mode,
+    mem: &Memory,
     tracer: &mut T,
 ) -> ExecResult<()> {
     if ck.phases.len() > 1 {
@@ -546,6 +474,7 @@ pub fn run_single_items<T: Tracer>(
         ));
     }
     let params = bind_args(&ck.name, &ck.params, ck.span, args, mem)?;
+    let mut atomics = HashMap::new();
     // One register file and arena reused across items (reset per item, like
     // the tree-walker's fresh per-item scopes — but without reallocating).
     let mut regs = vec![Value::Int(0); ck.n_regs];
@@ -553,24 +482,7 @@ pub fn run_single_items<T: Tracer>(
     let mut locals: Vec<Option<Vec<Value>>> = vec![None; ck.locals.len()];
     for &linear in global_ids {
         tracer.begin_item();
-        let g0 = nd.global[0];
-        let g1 = nd.global[1];
-        let gid3 = [linear % g0, (linear / g0) % g1, linear / (g0 * g1)];
-        let gid = [
-            gid3[0] + nd.offset[0],
-            gid3[1] + nd.offset[1],
-            gid3[2] + nd.offset[2],
-        ];
-        let lid = [
-            gid3[0] % nd.local[0],
-            gid3[1] % nd.local[1],
-            gid3[2] % nd.local[2],
-        ];
-        let grp = [
-            gid3[0] / nd.local[0],
-            gid3[1] / nd.local[1],
-            gid3[2] / nd.local[2],
-        ];
+        let [gid, lid, grp] = item_ids(nd, linear);
         for r in regs.iter_mut() {
             *r = Value::Int(0);
         }
@@ -580,9 +492,8 @@ pub fn run_single_items<T: Tracer>(
             *l = None;
         }
         let mut vm = Vm {
-            mem,
+            global: Sampled { mem, atomics: &mut atomics },
             tracer,
-            mode,
             nd,
             gid,
             lid,

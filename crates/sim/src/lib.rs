@@ -18,8 +18,8 @@
 //! * [`interp`] — a bytecode compiler and register VM for `clc` kernels
 //!   (work-groups, barriers, local memory, atomics). Used for correctness
 //!   (validating that Dopia's malleable rewrites compute the same result as
-//!   the original) and, in profile mode, by the profiler. A tree-walking
-//!   reference interpreter is kept as the VM's oracle.
+//!   the original) and, as a read-only sampled run, by the profiler. A
+//!   tree-walking reference interpreter is kept as the VM's oracle.
 //! * [`profile`] — a sampling profiler that interprets a handful of
 //!   work-items and derives per-work-item operation counts, per-site memory
 //!   access patterns (intra-item and cross-item strides), footprints and

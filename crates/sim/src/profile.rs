@@ -1,8 +1,9 @@
 //! Dynamic kernel characterization by sampled interpretation.
 //!
 //! The paper measures kernels by running them on hardware; we measure them
-//! by interpreting a handful of work-items in [`crate::interp::Mode::Profile`] and
-//! extracting, per static memory-access site:
+//! by interpreting a handful of work-items in a sampled run
+//! ([`crate::interp::vm::run_single_items`], which reads host memory and
+//! never writes it) and extracting, per static memory-access site:
 //!
 //! * the **intra-item stride** (address delta between consecutive accesses
 //!   of one work-item — the paper's constant/continuous/stride/random
@@ -18,7 +19,7 @@
 
 use crate::buffer::{ArgValue, BufferId, Memory};
 use crate::interp::{
-    compile_kernel, reference, vm, CompiledKernel, ExecError, Mode, SiteKey, SiteTable, Tracer,
+    compile_kernel, reference, vm, CompiledKernel, ExecError, SiteKey, SiteTable, Tracer,
 };
 use crate::ndrange::NdRange;
 use clc::Kernel;
@@ -167,7 +168,7 @@ pub fn profile_kernel(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
-    mem: &mut Memory,
+    mem: &Memory,
 ) -> Result<KernelProfile, ExecError> {
     profile_compiled(&compile_kernel(kernel)?, args, nd, mem)
 }
@@ -178,10 +179,10 @@ pub fn profile_compiled(
     ck: &CompiledKernel,
     args: &[ArgValue],
     nd: &NdRange,
-    mem: &mut Memory,
+    mem: &Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_sampled(nd, mem, ck.num_sites(), |ids, mem, t| {
-        vm::run_single_items(ck, args, nd, ids, mem, Mode::Profile, t)
+    profile_sampled(nd, mem, ck.num_sites(), |ids, t| {
+        vm::run_single_items(ck, args, nd, ids, mem, t)
     })
 }
 
@@ -192,10 +193,10 @@ pub fn profile_reference(
     kernel: &Kernel,
     args: &[ArgValue],
     nd: &NdRange,
-    mem: &mut Memory,
+    mem: &Memory,
 ) -> Result<KernelProfile, ExecError> {
-    profile_sampled(nd, mem, SiteTable::build(kernel).len(), |ids, mem, t| {
-        reference::run_single_items(kernel, args, nd, ids, mem, Mode::Profile, t)
+    profile_sampled(nd, mem, SiteTable::build(kernel).len(), |ids, t| {
+        reference::run_single_items(kernel, args, nd, ids, mem, t)
     })
 }
 
@@ -203,13 +204,13 @@ pub fn profile_reference(
 /// [`ProfileTracer`] and aggregate its table.
 fn profile_sampled(
     nd: &NdRange,
-    mem: &mut Memory,
+    mem: &Memory,
     n_sites: usize,
-    run: impl FnOnce(&[usize], &mut Memory, &mut ProfileTracer) -> Result<(), ExecError>,
+    run: impl FnOnce(&[usize], &mut ProfileTracer) -> Result<(), ExecError>,
 ) -> Result<KernelProfile, ExecError> {
     let ids = sample_ids(nd.global_size());
     let mut tracer = ProfileTracer::new(ids.len(), n_sites);
-    run(&ids, mem, &mut tracer)?;
+    run(&ids, &mut tracer)?;
     Ok(aggregate(&ids, &tracer, mem))
 }
 
@@ -582,7 +583,7 @@ mod tests {
             ArgValue::Int(n as i64),
             ArgValue::Int(5),
         ];
-        let p = profile_kernel(&k, &args, &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &args, &nd, &mem).unwrap();
         let classes: Vec<AccessClass> = p.sites.iter().map(|s| s.class).collect();
         // Expected (order of first touch in the expression): A continuous,
         // B stride N, C[c1] constant, E stride N, C[E[..]] random, D store
@@ -614,7 +615,7 @@ mod tests {
         let y = mem.alloc_f32(vec![0.0; n]);
         let nd = NdRange::d1(n, 32);
         let args = [ArgValue::Buffer(b), ArgValue::Buffer(y), ArgValue::Int(n as i64)];
-        let p = profile_kernel(&k, &args, &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &args, &nd, &mem).unwrap();
         let bsite = p
             .sites
             .iter()
@@ -641,7 +642,7 @@ mod tests {
         let y = mem.alloc_f32(vec![0.0; n]);
         let nd = NdRange::d1(n, 32);
         let args = [ArgValue::Buffer(a), ArgValue::Buffer(y), ArgValue::Int(n as i64)];
-        let p = profile_kernel(&k, &args, &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &args, &nd, &mem).unwrap();
         let site = p
             .sites
             .iter()
@@ -676,7 +677,7 @@ mod tests {
         let y = mem.alloc_f32(vec![0.0; 64]);
         let nd = NdRange::d1(64, 32);
         let args = [ArgValue::Buffer(rp), ArgValue::Buffer(v), ArgValue::Buffer(y)];
-        let p = profile_kernel(&k, &args, &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &args, &nd, &mem).unwrap();
         assert!(p.divergence > 2.0, "divergence = {}", p.divergence);
     }
 
@@ -691,7 +692,7 @@ mod tests {
         let mut mem = Memory::new();
         let a = mem.alloc_f32(vec![1.0; 256]);
         let nd = NdRange::d1(256, 64);
-        let p = profile_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &[ArgValue::Buffer(a)], &nd, &mem).unwrap();
         assert!((p.divergence - 1.0).abs() < 1e-9);
         assert!(p.flops_per_item >= 1.0);
     }
@@ -716,7 +717,7 @@ mod tests {
         let nd = NdRange::d1(n, 256);
         let args =
             [ArgValue::Buffer(a), ArgValue::Buffer(x), ArgValue::Buffer(y), ArgValue::Int(n as i64)];
-        let p = profile_kernel(&k, &args, &nd, &mut mem).unwrap();
+        let p = profile_kernel(&k, &args, &nd, &mem).unwrap();
         let a_site = p.sites.iter().find(|s| s.buffer_elems == n * n).unwrap();
         assert!((a_site.accesses_per_item - n as f64).abs() / (n as f64) < 0.01);
         assert!(p.flops_per_item > n as f64); // mul + add per j

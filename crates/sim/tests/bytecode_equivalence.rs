@@ -16,7 +16,7 @@ mod shadow_profile;
 
 use proptest::prelude::*;
 use shadow_profile::{assert_matches_shadow, assert_profiles_equal};
-use sim::interp::{compile_kernel, reference, vm, Mode, SiteKey, Tracer};
+use sim::interp::{compile_kernel, reference, vm, SiteKey, Tracer};
 use sim::profile::{profile_compiled, profile_reference};
 use sim::{ArgValue, BufferId, Memory, NdRange};
 
@@ -106,18 +106,31 @@ fn sample_ids(total: usize) -> Vec<usize> {
     ids
 }
 
+/// Each engine's two entry points: the sampled `run_single_items` and the
+/// full `run_kernel`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    Sampled,
+    Full,
+}
+
 /// Run both engines over the same launch and assert every observable is
 /// identical. `ctx` names the test case in failure messages.
 fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
+    check_engines(src, n, nd, ctx, true);
+}
+
+/// [`assert_equivalent`], with the shadow-profile check only if `shadow`.
+fn check_engines(src: &str, n: usize, nd: NdRange, ctx: &str, shadow: bool) {
     let program = clc::compile(src).unwrap_or_else(|e| panic!("{}: {}\n{}", ctx, e, src));
     for kernel in &program.kernels {
         let ck = compile_kernel(kernel)
             .unwrap_or_else(|e| panic!("{}: compile_kernel: {}", ctx, e.message));
         let barrier_free = !ck.has_barriers();
 
-        // Profile mode over sampled items (the profiler's exact call shape),
-        // then Full mode over the whole NDRange.
-        for mode in [Mode::Profile, Mode::Full] {
+        // The sampled run over sampled items (the profiler's exact call
+        // shape), then the full run over the whole NDRange.
+        for run in [Run::Sampled, Run::Full] {
             let mut mem_ref = Memory::new();
             let args_ref = bind(kernel, n, &mut mem_ref);
             let mut mem_vm = Memory::new();
@@ -126,47 +139,60 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
             let mut t_vm = EventTracer::default();
 
             let ids = sample_ids(nd.global_size());
-            let (r_ref, r_vm) = if mode == Mode::Profile {
+            let (r_ref, r_vm) = if run == Run::Sampled {
                 if !barrier_free {
                     continue; // the profiler never sees barrier kernels
                 }
                 (
-                    reference::run_single_items(
-                        kernel, &args_ref, &nd, &ids, &mut mem_ref, mode, &mut t_ref,
-                    ),
-                    vm::run_single_items(&ck, &args_vm, &nd, &ids, &mut mem_vm, mode, &mut t_vm),
+                    reference::run_single_items(kernel, &args_ref, &nd, &ids, &mem_ref, &mut t_ref),
+                    vm::run_single_items(&ck, &args_vm, &nd, &ids, &mem_vm, &mut t_vm),
                 )
             } else {
                 (
-                    reference::run_kernel(kernel, &args_ref, &nd, &mut mem_ref, mode, &mut t_ref),
-                    vm::run_kernel(&ck, &args_vm, &nd, &mut mem_vm, mode, &mut t_vm),
+                    reference::run_kernel(kernel, &args_ref, &nd, &mut mem_ref, &mut t_ref),
+                    vm::run_kernel(&ck, &args_vm, &nd, &mut mem_vm, &mut t_vm),
                 )
             };
 
             match (&r_ref, &r_vm) {
                 (Ok(()), Ok(())) => {}
                 (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "{} [{:?}]: engines fail differently", ctx, mode);
+                    assert_eq!(a, b, "{} [{:?}]: engines fail differently", ctx, run);
                 }
                 _ => panic!(
                     "{} [{:?}]: one engine failed: tree-walker {:?}, vm {:?}",
-                    ctx, mode, r_ref, r_vm
+                    ctx, run, r_ref, r_vm
                 ),
             }
             assert_eq!(
                 t_ref.events, t_vm.events,
                 "{} [{:?}]: traced event streams diverge",
-                ctx, mode
+                ctx, run
             );
-            if mode == Mode::Profile && r_vm.is_ok() {
+            if run == Run::Sampled && r_vm.is_ok() {
                 let items = t_vm.events.iter().filter(|e| **e == Event::BeginItem).count();
                 assert_eq!(items, ids.len(), "{}: one item boundary per sampled id", ctx);
+            }
+            if run == Run::Sampled {
+                // A sampled run reads host memory and never writes it.
+                let mut fresh = Memory::new();
+                let args = bind(kernel, n, &mut fresh);
+                for (mem, run_args) in [(&mem_ref, &args_ref), (&mem_vm, &args_vm)] {
+                    assert_eq!(
+                        snapshot(mem, run_args),
+                        snapshot(&fresh, &args),
+                        "{}: a sampled run changed a host buffer",
+                        ctx
+                    );
+                    let versions = run_args.iter().filter_map(|a| a.as_buffer()).map(|b| mem.version(b));
+                    assert!(versions.into_iter().all(|v| v == 0), "{}: a sampled run bumped a version", ctx);
+                }
             }
             assert_eq!(
                 snapshot(&mem_ref, &args_ref),
                 snapshot(&mem_vm, &args_vm),
                 "{} [{:?}]: memory diverges",
-                ctx, mode
+                ctx, run
             );
         }
 
@@ -177,14 +203,16 @@ fn assert_equivalent(src: &str, n: usize, nd: NdRange, ctx: &str) {
             let args_ref = bind(kernel, n, &mut mem_ref);
             let mut mem_vm = Memory::new();
             let args_vm = bind(kernel, n, &mut mem_vm);
-            let p_ref = profile_reference(kernel, &args_ref, &nd, &mut mem_ref);
-            let p_vm = profile_compiled(&ck, &args_vm, &nd, &mut mem_vm);
+            let p_ref = profile_reference(kernel, &args_ref, &nd, &mem_ref);
+            let p_vm = profile_compiled(&ck, &args_vm, &nd, &mem_vm);
             match (p_ref, p_vm) {
                 (Ok(a), Ok(b)) => assert_profiles_equal(&a, &b, ctx),
                 (Err(a), Err(b)) => assert_eq!(a, b, "{}: profile errors diverge", ctx),
                 (a, b) => panic!("{}: one profile failed: {:?} vs {:?}", ctx, a, b),
             }
-            assert_matches_shadow(&ck, &nd, |mem| bind(kernel, n, mem), ctx);
+            if shadow {
+                assert_matches_shadow(&ck, &nd, |mem| bind(kernel, n, mem), ctx);
+            }
         }
     }
 }
@@ -390,16 +418,14 @@ fn loop_trip_count_beyond_i64_extrapolates_in_both_engines() {
     let (mut mem_ref, mut mem_vm) = (Memory::new(), Memory::new());
     let (args_ref, args_vm) = (setup(&mut mem_ref), setup(&mut mem_vm));
     let (mut t_ref, mut t_vm) = (EventTracer::default(), EventTracer::default());
-    let mode = Mode::Profile;
-    reference::run_single_items(&kernel, &args_ref, &nd, &[0], &mut mem_ref, mode, &mut t_ref)
-        .unwrap();
-    vm::run_single_items(&ck, &args_vm, &nd, &[0], &mut mem_vm, mode, &mut t_vm).unwrap();
+    reference::run_single_items(&kernel, &args_ref, &nd, &[0], &mem_ref, &mut t_ref).unwrap();
+    vm::run_single_items(&ck, &args_vm, &nd, &[0], &mem_vm, &mut t_vm).unwrap();
     assert_eq!(t_ref.events, t_vm.events, "traced event streams diverge");
 
     let (mut mem_ref, mut mem_vm) = (Memory::new(), Memory::new());
     let (args_ref, args_vm) = (setup(&mut mem_ref), setup(&mut mem_vm));
-    let p_ref = profile_reference(&kernel, &args_ref, &nd, &mut mem_ref).unwrap();
-    let p_vm = profile_compiled(&ck, &args_vm, &nd, &mut mem_vm).unwrap();
+    let p_ref = profile_reference(&kernel, &args_ref, &nd, &mem_ref).unwrap();
+    let p_vm = profile_compiled(&ck, &args_vm, &nd, &mem_vm).unwrap();
     assert_profiles_equal(&p_ref, &p_vm, "trip-count probe");
     assert_matches_shadow(&ck, &nd, setup, "trip-count probe");
 
@@ -409,6 +435,43 @@ fn loop_trip_count_beyond_i64_extrapolates_in_both_engines() {
     assert_eq!(p_vm.sites.len(), 2, "the load and the store of a[0]");
     let load = p_vm.sites.iter().find(|s| !s.is_store).expect("the a[0] load");
     assert_eq!(load.accesses_per_item, trips);
+}
+
+/// A worklist kernel: the atomic's result is the store address. Both
+/// engines must agree on events, memory and profile. Within one sampled
+/// run the counter advances item by item through the overlay, so the
+/// sampled items store to consecutive slots, while host memory keeps its
+/// binding. The shadow profiler runs one id per call, so its items share
+/// no overlay and would all store to the first slot: this kernel is
+/// checked against the tree-walker only.
+#[test]
+fn atomic_worklist_kernel_is_equivalent() {
+    let src = "__kernel void worklist(__global float* in, __global float* out,
+                                      __global int* next, int N) {
+        int i = get_global_id(0);
+        out[atomic_inc(next) % N] = in[i];
+    }";
+    let nd = NdRange::d1(64, 16);
+    check_engines(src, 64, nd, "atomic worklist", false);
+
+    let kernel = clc::compile(src).unwrap().kernels.remove(0);
+    let ck = compile_kernel(&kernel).unwrap();
+    let mut mem = Memory::new();
+    let args = bind(&kernel, 64, &mut mem);
+    let next = args[2].as_buffer().unwrap();
+    let first = mem.read_i32(next)[0] as i64;
+    let mut t = EventTracer::default();
+    vm::run_single_items(&ck, &args, &nd, &[0, 1, 32, 63], &mem, &mut t).unwrap();
+    let slots: Vec<i64> = t
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Store { idx, .. } => Some(*idx),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(slots, (first..first + 4).collect::<Vec<_>>());
+    assert_eq!(mem.read_i32(next)[0] as i64, first, "the host counter is untouched");
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +538,7 @@ fn statement() -> impl Strategy<Value = String> {
         // Stores through a second buffer.
         small_int_expr().prop_map(|e| format!("B[(({}) % n + n) % n] = acc;", e)),
         small_int_expr().prop_map(|e| format!("B[(({}) % n + n) % n] += 0.5f;", e)),
-        // Atomics on the int buffer (mutate even in profile mode).
+        // Atomics on the int buffer (an overlay in the sampled run).
         (0i64..7).prop_map(|k| format!("t = t + atomic_add(C, {});", k)),
         Just("atomic_inc(C);".to_string()),
         // min/max/abs on mixed operands.

@@ -8,7 +8,7 @@
 //! [`assert_matches_shadow`] requires `profile_compiled` to reproduce that
 //! result field by field, floats by bit pattern.
 
-use sim::interp::{vm, CompiledKernel, ExecError, Mode, SiteKey, Tracer};
+use sim::interp::{vm, CompiledKernel, ExecError, SiteKey, Tracer};
 use sim::profile::{profile_compiled, SiteProfile};
 use sim::{AccessClass, ArgValue, BufferId, KernelProfile, Memory, NdRange};
 use std::collections::HashSet;
@@ -122,13 +122,13 @@ pub fn shadow_profile(
     ck: &CompiledKernel,
     args: &[ArgValue],
     nd: &NdRange,
-    mem: &mut Memory,
+    mem: &Memory,
 ) -> Result<KernelProfile, ExecError> {
     let ids = sample_ids(nd.global_size());
     let mut tracers: Vec<TracingTracer> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let mut t = TracingTracer::new();
-        vm::run_single_items(ck, args, nd, &[id], mem, Mode::Profile, &mut t)?;
+        vm::run_single_items(ck, args, nd, &[id], mem, &mut t)?;
         tracers.push(t);
     }
     Ok(aggregate(&ids, &tracers, mem))
@@ -242,9 +242,8 @@ pub fn assert_profiles_equal(a: &KernelProfile, b: &KernelProfile, ctx: &str) {
 }
 
 /// Profile one launch with `profile_compiled` and with the shadow, each on
-/// its own freshly bound memory (`setup` must bind identically every call:
-/// atomics mutate memory even in profile mode), and require the same
-/// profile or the same error.
+/// its own freshly bound memory (`setup` must bind identically every
+/// call), and require the same profile or the same error.
 pub fn assert_matches_shadow(
     ck: &CompiledKernel,
     nd: &NdRange,
@@ -253,10 +252,10 @@ pub fn assert_matches_shadow(
 ) {
     let mut mem = Memory::new();
     let args = setup(&mut mem);
-    let fast = profile_compiled(ck, &args, nd, &mut mem);
+    let fast = profile_compiled(ck, &args, nd, &mem);
     let mut mem = Memory::new();
     let args = setup(&mut mem);
-    let shadow = shadow_profile(ck, &args, nd, &mut mem);
+    let shadow = shadow_profile(ck, &args, nd, &mem);
     match (fast, shadow) {
         (Ok(a), Ok(b)) => assert_profiles_equal(&a, &b, ctx),
         (Err(a), Err(b)) => assert_eq!(a, b, "{}: profile errors diverge", ctx),

@@ -92,7 +92,7 @@ mod tests {
         let mut mem = Memory::new();
         let built = spmv_csr(&mut mem, 16384, 256);
         let engine = sim::Engine::kaveri();
-        let p = engine.profile(built.spec(), &mut mem).unwrap();
+        let p = engine.profile(built.spec(), &mem).unwrap();
         assert!(p.divergence > 1.2, "divergence = {}", p.divergence);
         // The x gather must be classified as random.
         assert!(p

@@ -92,7 +92,7 @@ fn main() {
                 ArgValue::Int(7),
             ],
             NdRange::d1(big_n, 256),
-            &mut mem,
+            &mem,
         )
         .unwrap();
     println!(

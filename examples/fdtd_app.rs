@@ -48,7 +48,7 @@ fn main() {
                 "fdtd1",
                 &[ArgValue::Buffer(ey), ArgValue::Buffer(hz), nn, nn],
                 nd,
-                &mut mem,
+                &mem,
             )
             .unwrap()
             .result;
@@ -58,7 +58,7 @@ fn main() {
                 "fdtd2",
                 &[ArgValue::Buffer(ex), ArgValue::Buffer(hz), nn, nn],
                 nd,
-                &mut mem,
+                &mem,
             )
             .unwrap();
         queue
@@ -67,7 +67,7 @@ fn main() {
                 "fdtd3",
                 &[ArgValue::Buffer(ex), ArgValue::Buffer(ey), ArgValue::Buffer(hz), nn, nn],
                 nd,
-                &mut mem,
+                &mem,
             )
             .unwrap();
         if step == 0 {

@@ -15,7 +15,7 @@ fn main() {
     let n = 16384;
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, n, 256);
-    let profile = engine.profile(built.spec(), &mut mem).expect("profiles");
+    let profile = engine.profile(built.spec(), &mem).expect("profiles");
     let sched = Schedule::Dynamic { chunk_divisor: 10 };
 
     let max_cores = engine.platform.cpu.cores;

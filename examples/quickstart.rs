@@ -37,7 +37,7 @@ fn main() {
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, n, 256);
     let run = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
         .expect("launch succeeds");
     println!(
         "\nDopia chose {} CPU cores + {}/8 of the GPU ({} µs model inference)",
@@ -55,7 +55,7 @@ fn main() {
 
     // 5. Compare against the paper's baselines and the exhaustive oracle.
     let profile = dopia
-        .profile(prepared, &built.args, built.nd, &mut mem)
+        .profile(prepared, &built.args, built.nd, &mem)
         .unwrap();
     let mut oracle_time = f64::INFINITY;
     for point in dopia.space() {

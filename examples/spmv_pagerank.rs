@@ -35,7 +35,7 @@ fn main() {
         prepared.features
     );
 
-    let profile = dopia.profile(prepared, &built.args, built.nd, &mut mem).unwrap();
+    let profile = dopia.profile(prepared, &built.args, built.nd, &mem).unwrap();
     println!("  measured divergence (max/mean row work): {:.2}", profile.divergence);
     let run = dopia.launch_with_profile(prepared, &profile, built.nd);
     println!(
@@ -67,7 +67,7 @@ fn main() {
                 "pagerank",
                 &inst.built.args,
                 inst.built.nd,
-                &mut mem,
+                &mem,
             )
             .unwrap();
         total += run.total_time_s;

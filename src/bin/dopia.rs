@@ -400,7 +400,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
         &prepared.original.name,
         &args,
         nd,
-        &mut mem,
+        &mem,
     ) {
         Ok(event) => event.result,
         Err(e) => return fail(e),
@@ -455,7 +455,7 @@ fn run(argv: &[String], sweep: bool) -> ExitCode {
     );
 
     if opts.compare {
-        let profile = match dopia.profile(prepared, &args, nd, &mut mem) {
+        let profile = match dopia.profile(prepared, &args, nd, &mem) {
             Ok(p) => p,
             Err(e) => return fail(e),
         };

@@ -43,7 +43,7 @@ fn dopia_manages_every_real_world_kernel() {
                     &built.kernel.name,
                     &built.args,
                     built.nd,
-                    &mut mem,
+                    &mem,
                 )
                 .unwrap_or_else(|e| panic!("{}: {}", built.name, e));
             assert!(
@@ -89,7 +89,7 @@ fn dopia_beats_the_worst_baseline_everywhere_and_is_competitive() {
         };
         let program = dopia.create_program_with_source(source).unwrap();
         let prepared = program.kernel(&built.kernel.name).unwrap();
-        let profile = dopia.profile(prepared, &built.args, built.nd, &mut mem).unwrap();
+        let profile = dopia.profile(prepared, &built.args, built.nd, &mem).unwrap();
         let run = dopia.launch_with_profile(prepared, &profile, built.nd);
         let times: Vec<f64> = Baseline::all()
             .iter()
@@ -127,7 +127,7 @@ fn per_launch_inference_overhead_is_micro_scale_for_dt() {
     let prepared = program.kernel("gesummv").unwrap();
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 4096, 256);
-    let profile = dopia.profile(prepared, &built.args, built.nd, &mut mem).unwrap();
+    let profile = dopia.profile(prepared, &built.args, built.nd, &mem).unwrap();
     let run = dopia.launch_with_profile(prepared, &profile, built.nd);
     // The DT sweep over 44 configs must cost well under a millisecond —
     // the property that lets Dopia default to DT (paper Section 9.2).
@@ -149,10 +149,10 @@ fn platforms_disagree_on_configs_sometimes() {
     let pk = kav.create_program_with_source(workloads::polybench::GESUMMV_SRC).unwrap();
     let ps = sky.create_program_with_source(workloads::polybench::GESUMMV_SRC).unwrap();
     let rk = kav
-        .enqueue_nd_range_kernel(&pk, "gesummv", &built.args, built.nd, &mut mem)
+        .enqueue_nd_range_kernel(&pk, "gesummv", &built.args, built.nd, &mem)
         .unwrap();
     let rs = sky
-        .enqueue_nd_range_kernel(&ps, "gesummv", &built.args, built.nd, &mut mem)
+        .enqueue_nd_range_kernel(&ps, "gesummv", &built.args, built.nd, &mem)
         .unwrap();
     // Not asserting inequality of picks (both may be optimal at the same
     // normalized point) — but both must be sane and the simulated times

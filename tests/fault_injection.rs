@@ -55,9 +55,9 @@ fn gpu_hang_under_dynamic_completes_via_watchdog() {
         gpu_hang_at_dispatch: Some(0),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
 
     // Full co-execution was selected, so CPU survivors exist.
@@ -87,9 +87,9 @@ fn late_gpu_hang_still_accounts_for_every_group() {
         gpu_hang_at_dispatch: Some(1),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 16384);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 16384);
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(
         r.report.cpu_groups + r.report.gpu_groups + r.report.recovered_groups,
@@ -109,9 +109,9 @@ fn core_stall_and_slowdown_are_survivable() {
         core_slowdowns: vec![CoreSlowdown { core: 1, factor: 4.0 }],
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 16384);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 16384);
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(
         r.report.cpu_groups + r.report.gpu_groups + r.report.recovered_groups,
@@ -130,9 +130,9 @@ fn nan_model_falls_back_to_gpu_only_heuristic() {
             Engine::kaveri(),
             PerfModel::from_regressor(ModelKind::Lin, Box::new(Broken(bad))),
         );
-        let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+        let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert!(r.selection.fallback, "pred {}", bad);
         assert!(r.selection.predicted.is_nan());
@@ -174,7 +174,7 @@ fn mixed_program_degrades_only_the_untransformable_kernel() {
             "tricky",
             &[ArgValue::Buffer(a), ArgValue::Int(0)],
             NdRange::d1(1024, 256),
-            &mut mem,
+            &mem,
         )
         .unwrap();
     assert_eq!(r.health.degraded_launches, 1);
@@ -186,7 +186,7 @@ fn mixed_program_degrades_only_the_untransformable_kernel() {
     let mut mem2 = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem2, 4096, 256);
     let r2 = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem2)
+        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem2)
         .unwrap();
     assert_eq!(r2.health.degraded_launches, 0);
     assert!(!r2.selection.fallback);
@@ -202,10 +202,10 @@ fn transient_profile_failures_absorbed_by_queue_retry() {
         transient_profile_failures: 2,
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let mut queue = CommandQueue::new(&dopia);
     let event = queue
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(event.result.health.transient_retries, 2);
     let expected_backoff = 1e-4 + 2e-4; // doubling backoff, two retries
@@ -228,10 +228,10 @@ fn transient_failures_beyond_retry_budget_surface() {
         transient_profile_failures: 10,
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let mut queue = CommandQueue::new(&dopia);
     let err = queue
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap_err();
     assert!(err.is_transient());
     assert!(queue.events().is_empty());
@@ -249,9 +249,9 @@ fn clearing_the_fault_plan_restores_nominal_launches() {
     });
     dopia.clear_fault_plan();
     assert!(dopia.fault_plan().is_none());
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert!(!r.report.degraded);
     assert_eq!(r.report.recovered_groups, 0);

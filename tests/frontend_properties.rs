@@ -70,7 +70,7 @@ proptest! {
         let engine = sim::Engine::kaveri();
         let mut mem = sim::Memory::new();
         let built = params.build(&mut mem, 99);
-        let profile = engine.profile(built.spec(), &mut mem).unwrap();
+        let profile = engine.profile(built.spec(), &mem).unwrap();
         let inner: f64 = params.shape()[params.dim..].iter().product::<usize>() as f64;
         // Each term makes ~inner accesses per item (plus the OUT store).
         let per_item = profile.accesses_per_item();

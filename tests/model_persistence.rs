@@ -59,7 +59,7 @@ fn loaded_model_drives_the_runtime() {
     let mut mem = Memory::new();
     let built = workloads::polybench::gesummv(&mut mem, 4096, 256);
     let run = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &built.args, built.nd, &mem)
         .unwrap();
     assert_eq!(run.report.cpu_groups + run.report.gpu_groups, built.nd.num_groups());
 }

@@ -204,7 +204,7 @@ fn profiled_gesummv(engine: &Engine, n: usize) -> (sim::KernelProfile, NdRange) 
     ];
     let nd = NdRange::d1(n, 256);
     let spec = sim::LaunchSpec { kernel: &kernel, args: &args, nd };
-    let profile = engine.profile(spec, &mut mem).unwrap();
+    let profile = engine.profile(spec, &mem).unwrap();
     (profile, nd)
 }
 

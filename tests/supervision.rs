@@ -79,14 +79,14 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
         gpu_hang_at_dispatch: Some(0),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let total = nd.num_groups();
 
     // Launches until the trip: GPU-only selections, everything lost.
     let mut trips = 0;
     for i in 0..2 {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert_eq!(r.selection.point.cpu_cores, 0, "model wants the GPU alone");
         assert_eq!(r.report.lost_groups, total, "launch {} loses everything", i);
@@ -102,7 +102,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     // Cooldown launches: pinned to the CPU's static config, zero loss.
     for _ in 0..BREAKER_COOLDOWN {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert_eq!(r.source, DecisionSource::Pinned);
         assert_eq!(r.report.lost_groups, 0, "pinned launches lose nothing");
@@ -116,7 +116,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
     // Cooldown spent: the next launch probes the GPU, which is still
     // broken — the breaker re-opens on the failed probe alone.
     let probe = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert!(
         matches!(probe.source, DecisionSource::CacheHit | DecisionSource::CacheMiss),
@@ -133,7 +133,7 @@ fn breaker_trips_and_pins_to_cpu_under_persistent_gpu_fault() {
 
     // And the launch right after the failed probe is pinned again.
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(r.source, DecisionSource::Pinned);
     assert_eq!(r.report.lost_groups, 0);
@@ -152,10 +152,10 @@ fn without_supervision_losses_continue_indefinitely() {
         gpu_hang_at_dispatch: Some(0),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     for i in 0..6 {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert_eq!(
             r.report.lost_groups,
@@ -176,14 +176,14 @@ fn without_supervision_losses_continue_indefinitely() {
 #[test]
 fn deadline_redispatches_stragglers_when_watchdog_is_slow() {
     let dopia = dopia_with(Box::new(CoExec));
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let total = nd.num_groups();
 
     // Warm up the kernel class fault-free: the supervisor needs launch
     // history to budget a deadline.
     for _ in 0..2 {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert!(r.health.is_nominal());
     }
@@ -197,7 +197,7 @@ fn deadline_redispatches_stragglers_when_watchdog_is_slow() {
         ..FaultPlan::default()
     });
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert!(r.report.redispatched_groups > 0, "{:?}", r.report);
     assert_eq!(r.report.lost_groups, 0);
@@ -226,7 +226,7 @@ fn deadline_redispatches_stragglers_when_watchdog_is_slow() {
 #[test]
 fn wrong_model_is_quarantined_and_heuristic_takes_over() {
     let dopia = dopia_with(Box::new(Overconfident));
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
 
     // QUARANTINE_MIN_SAMPLES launches of identical time: measured
     // normalized perf is 1.0, the model says 0.01 — relative error ~0.99
@@ -234,7 +234,7 @@ fn wrong_model_is_quarantined_and_heuristic_takes_over() {
     let mut quarantines = 0;
     for _ in 0..QUARANTINE_MIN_SAMPLES {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert!(!r.selection.fallback, "predictions are valid, just wrong");
         quarantines += r.health.model_quarantines;
@@ -250,7 +250,7 @@ fn wrong_model_is_quarantined_and_heuristic_takes_over() {
     // in both directions.
     let before = dopia.cache_stats();
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(r.source, DecisionSource::Quarantined);
     assert!(r.selection.fallback, "heuristic selections are flagged");
@@ -276,18 +276,18 @@ fn pinned_decisions_are_never_cached() {
         gpu_hang_at_dispatch: Some(0),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
 
     // Trip the breaker (threshold 1), then run pinned launches through the
     // cooldown.
     let r = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(r.health.breaker_trips, 1);
     let cache_before = dopia.cache_stats();
     for _ in 0..BREAKER_COOLDOWN {
         let r = dopia
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
         assert_eq!(r.source, DecisionSource::Pinned);
     }
@@ -300,7 +300,7 @@ fn pinned_decisions_are_never_cached() {
     // into the cache.
     dopia.clear_fault_plan();
     let probe = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert!(matches!(probe.source, DecisionSource::CacheHit | DecisionSource::CacheMiss));
     assert_eq!(probe.selection.point.cpu_cores, 0, "model's own pick is back");
@@ -320,13 +320,13 @@ fn pinned_launches_reuse_the_cached_profile() {
         breaker_threshold: 1,
         ..SupervisionConfig::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let prepared = program.kernel("gesummv").unwrap();
 
     // A healthy model launch caches the signature, then the GPU hangs and
     // the next launch (a hit) trips its breaker.
     let first = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(first.source, DecisionSource::CacheMiss);
     dopia.set_fault_plan(FaultPlan {
@@ -336,23 +336,23 @@ fn pinned_launches_reuse_the_cached_profile() {
     });
     let plan = dopia.fault_plan().unwrap().clone();
     let trip = dopia
-        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+        .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
         .unwrap();
     assert_eq!(trip.health.breaker_trips, 1);
 
     let before = dopia.cache_stats();
     let pinned: Vec<LaunchResult> = (0..BREAKER_COOLDOWN)
-        .map(|_| dopia.enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem).unwrap())
+        .map(|_| dopia.enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem).unwrap())
         .collect();
     let after = dopia.cache_stats();
     assert_eq!(after.profile_reuses - before.profile_reuses, u64::from(BREAKER_COOLDOWN));
     assert_eq!(after.hits, before.hits, "a reuse is not a hit");
     assert_eq!(after.misses, before.misses);
     // No pinned launch profiled, so the armed failure is still there.
-    let err = dopia.profile(prepared, &args, nd, &mut mem).unwrap_err();
+    let err = dopia.profile(prepared, &args, nd, &mem).unwrap_err();
     assert!(err.is_transient());
 
-    let fresh = dopia.profile(prepared, &args, nd, &mut mem).unwrap();
+    let fresh = dopia.profile(prepared, &args, nd, &mem).unwrap();
     let schedule = Schedule::Dynamic { chunk_divisor: dopia.chunk_divisor };
     for r in &pinned {
         assert_eq!(r.source, DecisionSource::Pinned);
@@ -377,11 +377,11 @@ fn queue_summary_aggregates_supervision_counters() {
         gpu_hang_at_dispatch: Some(0),
         ..FaultPlan::default()
     });
-    let (program, mut mem, args, nd) = gesummv_launch(&dopia, 4096);
+    let (program, mem, args, nd) = gesummv_launch(&dopia, 4096);
     let mut queue = CommandQueue::new(&dopia);
     for _ in 0..5 {
         queue
-            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mut mem)
+            .enqueue_nd_range_kernel(&program, "gesummv", &args, nd, &mem)
             .unwrap();
     }
     let summary = queue.finish();
