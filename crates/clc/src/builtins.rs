@@ -1,4 +1,12 @@
-//! OpenCL 1.2 builtin functions supported by the subset.
+//! The OpenCL 1.2 builtin functions the subset supports: the one map from
+//! a builtin's spelling to its operation.
+//!
+//! Every consumer resolves a call's name once with [`lookup`] and matches
+//! on the typed [`Builtin`]: sema checks signatures against it, the
+//! feature extractor counts Table 1 arithmetic by it, the malleable and
+//! CPU code generators find work-item queries with it, and both of the
+//! simulator's engines evaluate it. Code that only *emits* a call may
+//! spell the name.
 //!
 //! Dopia's rewrites (Section 6 of the paper) lean on the work-item query
 //! functions and on *local* atomics — the paper explicitly restricts itself
@@ -7,79 +15,178 @@
 
 use crate::ast::{Scalar, Type};
 
-/// Categories of builtin, used by sema and by the simulator's interpreter.
+/// A supported builtin function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuiltinKind {
+pub enum Builtin {
     /// `get_global_id` & friends: `(uint dim) -> size_t`.
-    WorkItemQuery,
+    Query(Query),
+    /// `get_work_dim() -> uint`.
+    WorkDim,
     /// `barrier(cl_mem_fence_flags)`.
     Barrier,
-    /// Atomic read-modify-write on `__local`/`__global` int pointers.
+    /// OpenCL 1.2 `atomic_*` on an `int` pointer; returns the old value.
+    Atomic(Atomic),
+    /// One-operand float math.
+    Math1(Math1),
+    /// Two-operand float math.
+    Math2(Math2),
+    /// `mad(a, b, c)` and `fma(a, b, c)`: `a * b + c` in float.
+    Mad,
+    /// Integer/float `min`, `max` and `abs`, typed by their operands.
+    Min,
+    Max,
+    Abs,
+}
+
+/// The work-item queries that take a dimension index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    GlobalId,
+    LocalId,
+    GroupId,
+    GlobalSize,
+    LocalSize,
+    NumGroups,
+    GlobalOffset,
+}
+
+/// The atomic read-modify-write operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Atomic {
+    Inc,
+    Dec,
+    Add,
+    Sub,
+    Xchg,
+    Min,
+    Max,
+    Cmpxchg,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Math1 {
+    Sqrt,
+    Rsqrt,
+    Fabs,
+    Exp,
+    Log,
+    Sin,
+    Cos,
+    Floor,
+    Ceil,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Math2 {
+    Pow,
+    Fmin,
+    Fmax,
+}
+
+/// How sema checks a builtin's operands and types its result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuiltinKind {
+    /// Work-item queries: integer dimension operand, if any.
+    WorkItemQuery,
+    Barrier,
+    /// An integer pointer, then integer operands.
     Atomic,
-    /// Scalar math (sqrt, fabs, ...).
+    /// Scalar operands, float result.
     Math,
-    /// min/max/abs-style integer & float helpers.
+    /// Scalar operands, result promoted from the operands.
     Common,
 }
 
-/// Signature of a builtin function.
-#[derive(Debug, Clone)]
-pub struct Builtin {
-    pub name: &'static str,
-    pub kind: BuiltinKind,
-    /// Expected argument shapes; `None` means "any scalar" / checked ad hoc.
-    pub arity: usize,
-    /// Result type; for polymorphic math builtins this is the promoted
-    /// operand type and this field holds the default.
-    pub result: Type,
-}
-
-/// Table of all supported builtins.
-pub const BUILTINS: &[Builtin] = &[
-    // Work-item queries: argument is the dimension index.
-    Builtin { name: "get_global_id", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_local_id", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_group_id", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_global_size", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_local_size", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_num_groups", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_global_offset", kind: BuiltinKind::WorkItemQuery, arity: 1, result: Type::LONG },
-    Builtin { name: "get_work_dim", kind: BuiltinKind::WorkItemQuery, arity: 0, result: Type::UINT },
-    // Synchronization.
-    Builtin { name: "barrier", kind: BuiltinKind::Barrier, arity: 1, result: Type::Void },
-    // Atomics (OpenCL 1.2 `atomic_*` on int pointers).
-    Builtin { name: "atomic_inc", kind: BuiltinKind::Atomic, arity: 1, result: Type::INT },
-    Builtin { name: "atomic_dec", kind: BuiltinKind::Atomic, arity: 1, result: Type::INT },
-    Builtin { name: "atomic_add", kind: BuiltinKind::Atomic, arity: 2, result: Type::INT },
-    Builtin { name: "atomic_sub", kind: BuiltinKind::Atomic, arity: 2, result: Type::INT },
-    Builtin { name: "atomic_xchg", kind: BuiltinKind::Atomic, arity: 2, result: Type::INT },
-    Builtin { name: "atomic_min", kind: BuiltinKind::Atomic, arity: 2, result: Type::INT },
-    Builtin { name: "atomic_max", kind: BuiltinKind::Atomic, arity: 2, result: Type::INT },
-    Builtin { name: "atomic_cmpxchg", kind: BuiltinKind::Atomic, arity: 3, result: Type::INT },
-    // Math.
-    Builtin { name: "sqrt", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "rsqrt", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "fabs", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "exp", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "log", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "sin", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "cos", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "floor", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "ceil", kind: BuiltinKind::Math, arity: 1, result: Type::FLOAT },
-    Builtin { name: "pow", kind: BuiltinKind::Math, arity: 2, result: Type::FLOAT },
-    Builtin { name: "fmin", kind: BuiltinKind::Math, arity: 2, result: Type::FLOAT },
-    Builtin { name: "fmax", kind: BuiltinKind::Math, arity: 2, result: Type::FLOAT },
-    Builtin { name: "mad", kind: BuiltinKind::Math, arity: 3, result: Type::FLOAT },
-    Builtin { name: "fma", kind: BuiltinKind::Math, arity: 3, result: Type::FLOAT },
-    // Common integer helpers.
-    Builtin { name: "min", kind: BuiltinKind::Common, arity: 2, result: Type::INT },
-    Builtin { name: "max", kind: BuiltinKind::Common, arity: 2, result: Type::INT },
-    Builtin { name: "abs", kind: BuiltinKind::Common, arity: 1, result: Type::INT },
+/// Every supported builtin by its spelling.
+pub const BUILTINS: &[(&str, Builtin)] = &[
+    ("get_global_id", Builtin::Query(Query::GlobalId)),
+    ("get_local_id", Builtin::Query(Query::LocalId)),
+    ("get_group_id", Builtin::Query(Query::GroupId)),
+    ("get_global_size", Builtin::Query(Query::GlobalSize)),
+    ("get_local_size", Builtin::Query(Query::LocalSize)),
+    ("get_num_groups", Builtin::Query(Query::NumGroups)),
+    ("get_global_offset", Builtin::Query(Query::GlobalOffset)),
+    ("get_work_dim", Builtin::WorkDim),
+    ("barrier", Builtin::Barrier),
+    ("atomic_inc", Builtin::Atomic(Atomic::Inc)),
+    ("atomic_dec", Builtin::Atomic(Atomic::Dec)),
+    ("atomic_add", Builtin::Atomic(Atomic::Add)),
+    ("atomic_sub", Builtin::Atomic(Atomic::Sub)),
+    ("atomic_xchg", Builtin::Atomic(Atomic::Xchg)),
+    ("atomic_min", Builtin::Atomic(Atomic::Min)),
+    ("atomic_max", Builtin::Atomic(Atomic::Max)),
+    ("atomic_cmpxchg", Builtin::Atomic(Atomic::Cmpxchg)),
+    ("sqrt", Builtin::Math1(Math1::Sqrt)),
+    ("rsqrt", Builtin::Math1(Math1::Rsqrt)),
+    ("fabs", Builtin::Math1(Math1::Fabs)),
+    ("exp", Builtin::Math1(Math1::Exp)),
+    ("log", Builtin::Math1(Math1::Log)),
+    ("sin", Builtin::Math1(Math1::Sin)),
+    ("cos", Builtin::Math1(Math1::Cos)),
+    ("floor", Builtin::Math1(Math1::Floor)),
+    ("ceil", Builtin::Math1(Math1::Ceil)),
+    ("pow", Builtin::Math2(Math2::Pow)),
+    ("fmin", Builtin::Math2(Math2::Fmin)),
+    ("fmax", Builtin::Math2(Math2::Fmax)),
+    ("mad", Builtin::Mad),
+    ("fma", Builtin::Mad),
+    ("min", Builtin::Min),
+    ("max", Builtin::Max),
+    ("abs", Builtin::Abs),
 ];
 
-/// Look up a builtin by name.
-pub fn lookup(name: &str) -> Option<&'static Builtin> {
-    BUILTINS.iter().find(|b| b.name == name)
+/// Resolve a call's name to its builtin.
+pub fn lookup(name: &str) -> Option<Builtin> {
+    BUILTINS.iter().find(|(n, _)| *n == name).map(|&(_, b)| b)
+}
+
+impl Builtin {
+    pub fn kind(self) -> BuiltinKind {
+        match self {
+            Builtin::Query(_) | Builtin::WorkDim => BuiltinKind::WorkItemQuery,
+            Builtin::Barrier => BuiltinKind::Barrier,
+            Builtin::Atomic(_) => BuiltinKind::Atomic,
+            Builtin::Math1(_) | Builtin::Math2(_) | Builtin::Mad => BuiltinKind::Math,
+            Builtin::Min | Builtin::Max | Builtin::Abs => BuiltinKind::Common,
+        }
+    }
+
+    /// Number of arguments a call takes.
+    pub fn arity(self) -> usize {
+        match self {
+            Builtin::WorkDim => 0,
+            Builtin::Atomic(Atomic::Inc | Atomic::Dec) => 1,
+            Builtin::Atomic(Atomic::Cmpxchg) | Builtin::Mad => 3,
+            Builtin::Atomic(_) | Builtin::Math2(_) | Builtin::Min | Builtin::Max => 2,
+            Builtin::Query(_) | Builtin::Barrier | Builtin::Math1(_) | Builtin::Abs => 1,
+        }
+    }
+
+    /// Result type; for the polymorphic math/common builtins this is the
+    /// default, and [`Builtin::result_for`] gives the promoted one.
+    pub fn result(self) -> Type {
+        match self {
+            Builtin::Query(_) => Type::LONG,
+            Builtin::WorkDim => Type::UINT,
+            Builtin::Barrier => Type::Void,
+            Builtin::Atomic(_) | Builtin::Min | Builtin::Max | Builtin::Abs => Type::INT,
+            Builtin::Math1(_) | Builtin::Math2(_) | Builtin::Mad => Type::FLOAT,
+        }
+    }
+
+    /// The scalar result type of this builtin applied to the given
+    /// argument scalars.
+    pub fn result_for(self, args: &[Scalar]) -> Scalar {
+        match self.kind() {
+            BuiltinKind::Math => Scalar::Float,
+            BuiltinKind::Common => args
+                .iter()
+                .copied()
+                .reduce(Scalar::promote)
+                .unwrap_or(Scalar::Int),
+            _ => self.result().as_scalar().unwrap_or(Scalar::Long),
+        }
+    }
 }
 
 /// Identifier constants that behave as literals (memory-fence flags).
@@ -92,28 +199,18 @@ pub fn named_constant(name: &str) -> Option<i64> {
     }
 }
 
-/// The scalar result type of a polymorphic math/common builtin applied to
-/// the given argument scalars.
-pub fn poly_result(builtin: &Builtin, args: &[Scalar]) -> Scalar {
-    match builtin.kind {
-        BuiltinKind::Math => Scalar::Float,
-        BuiltinKind::Common => args
-            .iter()
-            .copied()
-            .reduce(Scalar::promote)
-            .unwrap_or(Scalar::Int),
-        _ => builtin.result.as_scalar().unwrap_or(Scalar::Long),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lookup_known_and_unknown() {
-        assert!(lookup("get_global_id").is_some());
-        assert!(lookup("atomic_inc").is_some());
+        assert_eq!(
+            lookup("get_global_id"),
+            Some(Builtin::Query(Query::GlobalId))
+        );
+        assert_eq!(lookup("atomic_inc"), Some(Builtin::Atomic(Atomic::Inc)));
+        assert_eq!(lookup("fma"), Some(Builtin::Mad));
         assert!(lookup("no_such_fn").is_none());
     }
 
@@ -127,13 +224,13 @@ mod tests {
     #[test]
     fn common_builtins_promote() {
         let b = lookup("max").unwrap();
-        assert_eq!(poly_result(b, &[Scalar::Int, Scalar::Float]), Scalar::Float);
-        assert_eq!(poly_result(b, &[Scalar::Int, Scalar::Long]), Scalar::Long);
+        assert_eq!(b.result_for(&[Scalar::Int, Scalar::Float]), Scalar::Float);
+        assert_eq!(b.result_for(&[Scalar::Int, Scalar::Long]), Scalar::Long);
     }
 
     #[test]
     fn all_builtin_names_unique() {
-        let mut names: Vec<_> = BUILTINS.iter().map(|b| b.name).collect();
+        let mut names: Vec<_> = BUILTINS.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();

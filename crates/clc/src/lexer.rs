@@ -87,7 +87,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_number(&mut self) -> Result<Token> {
+    fn lex_number(&mut self) -> Result<Token<'a>> {
         let (start, line, col) = (self.pos, self.line, self.col);
         // Hexadecimal.
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
@@ -176,7 +176,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_ident(&mut self) -> Token {
+    fn lex_ident(&mut self) -> Token<'a> {
         let (start, line, col) = (self.pos, self.line, self.col);
         while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
             self.bump();
@@ -184,12 +184,12 @@ impl<'a> Lexer<'a> {
         let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
         let kind = match Keyword::lookup(text) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(crate::intern::Symbol::intern(text)),
+            None => TokenKind::Ident(text),
         };
         Token { kind, span: self.span_from(start, line, col) }
     }
 
-    fn lex_punct(&mut self) -> Result<Token> {
+    fn lex_punct(&mut self) -> Result<Token<'a>> {
         let (start, line, col) = (self.pos, self.line, self.col);
         let c = self.bump().unwrap();
         use Punct::*;
@@ -265,7 +265,7 @@ impl<'a> Lexer<'a> {
 }
 
 /// Tokenize `source`, appending a trailing [`TokenKind::Eof`] token.
-pub fn lex(source: &str) -> Result<Vec<Token>> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>> {
     let mut lexer = Lexer::new(source);
     let mut tokens = Vec::new();
     loop {
@@ -294,7 +294,7 @@ mod tests {
     use super::*;
     use crate::token::{Keyword, Punct, TokenKind};
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -306,7 +306,7 @@ mod tests {
             vec![
                 TokenKind::Keyword(Keyword::Kernel),
                 TokenKind::Keyword(Keyword::Void),
-                TokenKind::Ident(crate::intern::Symbol::intern("foo")),
+                TokenKind::Ident("foo"),
                 TokenKind::Keyword(Keyword::Kernel),
                 TokenKind::Keyword(Keyword::Global),
                 TokenKind::Eof,

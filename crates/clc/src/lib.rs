@@ -34,7 +34,6 @@
 pub mod ast;
 pub mod builtins;
 pub mod error;
-pub mod intern;
 pub mod lexer;
 pub mod parser;
 pub mod preprocess;
@@ -48,7 +47,6 @@ pub use ast::{
     AssignOp, BinOp, Expr, Kernel, Param, Program, Scalar, Space, Stmt, Type, UnOp,
 };
 pub use error::{CompileError, Result};
-pub use intern::Symbol;
 pub use span::Span;
 
 /// Compile OpenCL-C source into a semantically checked [`Program`].

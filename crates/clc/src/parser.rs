@@ -21,24 +21,24 @@ use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a [Token<'a>],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(tokens: &'a [Token]) -> Self {
+    fn new(tokens: &'a [Token<'a>]) -> Self {
         Parser { tokens, pos: 0 }
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.peek().kind
     }
 
-    fn bump(&mut self) -> Token {
+    fn bump(&mut self) -> Token<'a> {
         let t = *self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
@@ -85,9 +85,9 @@ impl<'a> Parser<'a> {
 
     fn expect_ident(&mut self, what: &str) -> Result<(String, Span)> {
         match *self.peek_kind() {
-            TokenKind::Ident(sym) => {
+            TokenKind::Ident(name) => {
                 let span = self.bump().span;
-                Ok((sym.as_str().to_string(), span))
+                Ok((name.to_string(), span))
             }
             other => Err(CompileError::parse(
                 format!("expected {} but found {}", what, other),
@@ -610,10 +610,9 @@ impl<'a> Parser<'a> {
                 self.bump();
                 Ok(Expr::BoolLit { value: false, span })
             }
-            TokenKind::Ident(sym) => {
+            TokenKind::Ident(name) => {
                 self.bump();
-                let name = sym.as_str().to_string();
-                if let Some(v) = builtins::named_constant(&name) {
+                if let Some(v) = builtins::named_constant(name) {
                     return Ok(Expr::IntLit { value: v, span });
                 }
                 if self.at_punct(Punct::LParen) {
@@ -628,9 +627,10 @@ impl<'a> Parser<'a> {
                         }
                     }
                     let end = self.expect_punct(Punct::RParen, "`)`")?;
+                    let name = name.to_string();
                     return Ok(Expr::Call { name, args, span: span.merge(end) });
                 }
-                Ok(Expr::Ident { name, span })
+                Ok(Expr::Ident { name: name.to_string(), span })
             }
             other => Err(CompileError::parse(
                 format!("expected an expression but found {}", other),
@@ -665,7 +665,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a token stream (from [`crate::lexer::lex`]) into a [`Program`].
-pub fn parse(tokens: &[Token]) -> Result<Program> {
+pub fn parse(tokens: &[Token<'_>]) -> Result<Program> {
     Parser::new(tokens).parse_program()
 }
 

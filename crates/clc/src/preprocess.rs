@@ -199,15 +199,10 @@ fn expand(
     let mut out = String::with_capacity(text.len());
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            let word = &text[start..i];
+        let start = i;
+        i = run_end(bytes, i);
+        let word = &text[start..i];
+        if is_ident_start(bytes[start]) {
             match macros.get(word) {
                 Some(Macro::Object(body)) => {
                     // Rescan with the macro itself removed ("painted blue"
@@ -254,11 +249,32 @@ fn expand(
                 None => out.push_str(word),
             }
         } else {
-            out.push(c);
-            i += c.len_utf8();
+            out.push_str(word);
         }
     }
     Ok(out)
+}
+
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_'
+}
+
+/// The end of the run starting at byte `i`: an identifier, or the text up
+/// to the next identifier. Both ends fall on character boundaries, since
+/// the bytes of a multi-byte UTF-8 character are never ASCII.
+fn run_end(bytes: &[u8], mut i: usize) -> usize {
+    let ident = is_ident_start(bytes[i]);
+    i += 1;
+    while i < bytes.len()
+        && if ident {
+            bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_'
+        } else {
+            !is_ident_start(bytes[i])
+        }
+    {
+        i += 1;
+    }
+    i
 }
 
 /// Textually substitute macro parameters (whole identifiers only) with
@@ -268,22 +284,12 @@ fn substitute_params(body: &str, params: &[String], args: &[String]) -> String {
     let mut out = String::with_capacity(body.len());
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            let word = &body[start..i];
-            match params.iter().position(|p| p == word) {
-                Some(k) => out.push_str(&args[k]),
-                None => out.push_str(word),
-            }
-        } else {
-            out.push(c);
-            i += c.len_utf8();
+        let start = i;
+        i = run_end(bytes, i);
+        let word = &body[start..i];
+        match params.iter().position(|p| p == word) {
+            Some(k) if is_ident_start(bytes[start]) => out.push_str(&args[k]),
+            _ => out.push_str(word),
         }
     }
     out
@@ -293,12 +299,10 @@ fn substitute_params(body: &str, params: &[String], args: &[String]) -> String {
 /// Returns the arguments and the number of bytes consumed (incl. parens).
 fn parse_args(text: &str, line: usize) -> Result<(Vec<String>, usize), PreprocessError> {
     debug_assert!(text.starts_with('('));
-    let bytes = text.as_bytes();
     let mut depth = 0usize;
     let mut args = Vec::new();
     let mut current = String::new();
-    for (i, &b) in bytes.iter().enumerate() {
-        let c = b as char;
+    for (i, c) in text.char_indices() {
         match c {
             '(' => {
                 depth += 1;
@@ -441,6 +445,13 @@ mod tests {
         "#;
         let program = crate::compile_with_defines(src, &[]).unwrap();
         assert_eq!(program.kernels[0].name, "scale");
+    }
+
+    #[test]
+    fn multi_byte_characters_pass_through() {
+        assert_eq!(pp("/* →*/ x"), "/* →*/ x\n");
+        let out = pp("#define F(a) (a → é)\nF(ü·1) // ñ\n");
+        assert_eq!(out, "\n(ü·1 → é) // ñ\n");
     }
 
     #[test]

@@ -332,18 +332,18 @@ impl Checker {
         let builtin = builtins::lookup(name).ok_or_else(|| {
             CompileError::sema(format!("unknown function `{}`", name), span)
         })?;
-        if args.len() != builtin.arity {
+        if args.len() != builtin.arity() {
             return Err(CompileError::sema(
                 format!(
                     "`{}` expects {} argument(s), found {}",
                     name,
-                    builtin.arity,
+                    builtin.arity(),
                     args.len()
                 ),
                 span,
             ));
         }
-        match builtin.kind {
+        match builtin.kind() {
             BuiltinKind::WorkItemQuery => {
                 if let Some(arg) = args.first() {
                     let ty = self.type_of(arg)?;
@@ -354,7 +354,7 @@ impl Checker {
                         ));
                     }
                 }
-                Ok(builtin.result)
+                Ok(builtin.result())
             }
             BuiltinKind::Barrier => {
                 let ty = self.type_of(&args[0])?;
@@ -386,7 +386,7 @@ impl Checker {
                         ));
                     }
                 }
-                Ok(builtin.result)
+                Ok(builtin.result())
             }
             BuiltinKind::Math | BuiltinKind::Common => {
                 let mut scalars = Vec::with_capacity(args.len());
@@ -402,7 +402,7 @@ impl Checker {
                         }
                     }
                 }
-                Ok(Type::Scalar(builtins::poly_result(builtin, &scalars)))
+                Ok(Type::Scalar(builtin.result_for(&scalars)))
             }
         }
     }

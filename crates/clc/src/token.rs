@@ -1,6 +1,5 @@
 //! Token definitions for the OpenCL-C subset.
 
-use crate::intern::Symbol;
 use crate::span::Span;
 use std::fmt;
 
@@ -112,12 +111,12 @@ pub enum Punct {
     MinusMinus,
 }
 
-/// The kinds of token the lexer can produce. `Copy`: identifiers are
-/// interned [`Symbol`]s, not owned strings.
+/// The kinds of token the lexer can produce. `Copy`: an identifier
+/// borrows its spelling from the source.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     Keyword(Keyword),
-    Ident(Symbol),
+    Ident(&'src str),
     /// Integer literal (decimal or hex); suffixes `u`/`U`/`l`/`L` are folded.
     IntLit(i64),
     /// Floating-point literal; an optional `f`/`F` suffix is folded.
@@ -127,7 +126,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Keyword(k) => write!(f, "keyword `{:?}`", k),
@@ -142,7 +141,7 @@ impl fmt::Display for TokenKind {
 
 /// A token with its source span.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'src> {
+    pub kind: TokenKind<'src>,
     pub span: Span,
 }

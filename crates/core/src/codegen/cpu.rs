@@ -8,6 +8,7 @@
 //! source is an inspectable artifact: it shows exactly the code a native
 //! deployment would compile, and tests pin its structure to the figure.
 
+use clc::builtins::{self, Builtin, Query};
 use clc::visit::ChildMut;
 use clc::{Expr, Kernel, Stmt, Type};
 use std::fmt::Write;
@@ -87,7 +88,7 @@ fn rewrite_stmt(stmt: &mut Stmt, work_dim: usize) {
 fn rewrite_expr(expr: &mut Expr, work_dim: usize) {
     expr.children_mut().for_each(|c| rewrite_expr(c, work_dim));
     if let Expr::Call { name, args, .. } = expr {
-        if name == "get_global_id" {
+        if builtins::lookup(name) == Some(Builtin::Query(Query::GlobalId)) {
             if let Some(Expr::IntLit { value, .. }) = args.first() {
                 let d = *value as usize;
                 if d < work_dim {

@@ -10,6 +10,7 @@
 //! transform valid on integrated parts without CPU/GPU-coherent global
 //! atomics.
 
+use clc::builtins::{self, Builtin, Query};
 use clc::printer::print_expression;
 use clc::visit::{Child, ChildMut};
 use clc::{BinOp, Expr, Kernel, Param, Space, Stmt, Type};
@@ -211,13 +212,13 @@ fn substitute_expr(expr: &mut Expr, work_dim: usize, work_var: &str) -> Result<(
     // Recurse first, then possibly replace this node.
     expr.children_mut().try_for_each(|c| substitute_expr(c, work_dim, work_var))?;
     if let Expr::Call { name, args, span } = expr {
-        if is_work_item_query(name) {
+        if let Some(query) = rewritten_query(name) {
             let dim = match args.first() {
                 Some(Expr::IntLit { value, .. }) => *value as usize,
                 other => return Err(non_literal_dimension(name, other, span)),
             };
             if dim < work_dim {
-                let replacement = if name == "get_global_id" {
+                let replacement = if query == Query::GlobalId {
                     global_id_replacement(dim, work_dim, work_var)
                 } else {
                     local_part(dim, work_dim, work_var)
@@ -231,8 +232,13 @@ fn substitute_expr(expr: &mut Expr, work_dim: usize, work_var: &str) -> Result<(
     Ok(())
 }
 
-fn is_work_item_query(name: &str) -> bool {
-    name == "get_global_id" || name == "get_local_id"
+/// The work-item query a call to `name` makes, if the rewrite replaces
+/// it: `get_global_id` or `get_local_id`.
+fn rewritten_query(name: &str) -> Option<Query> {
+    match builtins::lookup(name) {
+        Some(Builtin::Query(q @ (Query::GlobalId | Query::LocalId))) => Some(q),
+        _ => None,
+    }
 }
 
 fn non_literal_dimension(name: &str, arg: Option<&Expr>, span: &clc::Span) -> TransformError {
@@ -252,7 +258,7 @@ fn check_stmt(stmt: &Stmt, kernel: &Kernel) -> Result<(), TransformError> {
 fn check_expr(expr: &Expr, kernel: &Kernel) -> Result<(), TransformError> {
     expr.children().try_for_each(|c| check_expr(c, kernel))?;
     if let Expr::Call { name, args, span } = expr {
-        if is_work_item_query(name) && !matches!(args.first(), Some(Expr::IntLit { .. })) {
+        if rewritten_query(name).is_some() && !matches!(args.first(), Some(Expr::IntLit { .. })) {
             // Rare error path: report the argument as the 1-D transform
             // sees it, with its nested (literal-dimension) queries already
             // rewritten.

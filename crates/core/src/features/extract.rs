@@ -1,6 +1,7 @@
 //! The feature-extraction walker (paper Section 5.1, Table 1).
 
 use super::affine::{Affine, Coef};
+use clc::builtins::{self, Builtin, BuiltinKind, Query};
 use clc::{AssignOp, BinOp, Expr, Kernel, Scalar, Stmt, Type, UnOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -393,34 +394,28 @@ impl Walker {
                 for a in args {
                     self.analyze(a);
                 }
-                match name.as_str() {
-                    "get_global_id" | "get_local_id" | "get_group_id" => {
-                        let dim = const_dim(args);
-                        let prefix = match name.as_str() {
-                            "get_global_id" => "@id",
-                            "get_local_id" => "@lid",
+                let Some(f) = builtins::lookup(name) else { return Analyzed::opaque(false) };
+                match (f, f.kind()) {
+                    (Builtin::Query(q @ (Query::GlobalId | Query::LocalId | Query::GroupId)), _) => {
+                        let prefix = match q {
+                            Query::GlobalId => "@id",
+                            Query::LocalId => "@lid",
                             _ => "@grp",
                         };
                         Analyzed {
-                            affine: Affine::symbol(format!("{}{}", prefix, dim)),
+                            affine: Affine::symbol(format!("{}{}", prefix, const_dim(args))),
                             lit: None,
                             is_float: false,
                         }
                     }
-                    "get_global_size" | "get_local_size" | "get_num_groups"
-                    | "get_global_offset" | "get_work_dim" => Analyzed::constant(None),
-                    "sqrt" | "rsqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "floor"
-                    | "ceil" | "pow" | "fmin" | "fmax" | "mad" | "fma" => {
-                        self.features.arith_float += 1;
-                        Analyzed::opaque(true)
-                    }
-                    "min" | "max" | "abs" => {
-                        let is_float = args.iter().any(|a| self.expr_is_float(a));
+                    (_, BuiltinKind::WorkItemQuery) => Analyzed::constant(None),
+                    (_, BuiltinKind::Math | BuiltinKind::Common) => {
+                        let is_float = self.call_is_float(f, args);
                         self.count_arith(is_float);
                         Analyzed::opaque(is_float)
                     }
                     // Atomics & barrier: not arithmetic, value unanalyzable.
-                    _ => Analyzed::opaque(false),
+                    (_, BuiltinKind::Atomic | BuiltinKind::Barrier) => Analyzed::opaque(false),
                 }
             }
             Expr::Index { .. } => {
@@ -500,6 +495,16 @@ impl Walker {
         }
     }
 
+    /// Does builtin `f` applied to `args` produce a float? Math always
+    /// does; min/max/abs follow their operands.
+    fn call_is_float(&self, f: Builtin, args: &[Expr]) -> bool {
+        match f.kind() {
+            BuiltinKind::Math => true,
+            BuiltinKind::Common => args.iter().any(|a| self.expr_is_float(a)),
+            _ => false,
+        }
+    }
+
     /// Lightweight float-ness check without counting anything.
     fn expr_is_float(&self, expr: &Expr) -> bool {
         match expr {
@@ -515,12 +520,9 @@ impl Walker {
             }
             Expr::Assign { target, .. } => self.expr_is_float(target),
             Expr::IncDec { .. } => false,
-            Expr::Call { name, args, .. } => match name.as_str() {
-                "sqrt" | "rsqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil"
-                | "pow" | "fmin" | "fmax" | "mad" | "fma" => true,
-                "min" | "max" | "abs" => args.iter().any(|a| self.expr_is_float(a)),
-                _ => false,
-            },
+            Expr::Call { name, args, .. } => {
+                builtins::lookup(name).is_some_and(|f| self.call_is_float(f, args))
+            }
             Expr::Index { base, .. } => match base.as_ref() {
                 Expr::Ident { name, .. } => {
                     self.lookup(name).map(|b| b.scalar.is_float()).unwrap_or(false)

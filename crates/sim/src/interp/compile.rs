@@ -15,9 +15,10 @@
 //! ([`super::reference`]). Any deviation is a bug; the differential suite
 //! in `tests/bytecode_equivalence.rs` enforces this.
 
-use super::exec::{const_int, expr_writes, split_phases, writes_var, ExecError, ExecResult};
+use super::{const_int, expr_writes, split_phases, writes_var, ExecError, ExecResult};
+use clc::builtins::{self, Atomic, Builtin};
 use clc::visit::Child;
-use clc::{BinOp, Expr, Kernel, Param, Span, Stmt, Type, UnOp};
+use clc::{BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,49 +82,6 @@ impl SiteTable {
 // Instruction set
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum IdFn {
-    GlobalId,
-    LocalId,
-    GroupId,
-    GlobalSize,
-    LocalSize,
-    NumGroups,
-    GlobalOffset,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Math1Fn {
-    Sqrt,
-    Rsqrt,
-    Fabs,
-    Exp,
-    Log,
-    Sin,
-    Cos,
-    Floor,
-    Ceil,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Math2Fn {
-    Pow,
-    Fmin,
-    Fmax,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum AtomicFn {
-    Inc,
-    Dec,
-    Add,
-    Sub,
-    Xchg,
-    Min,
-    Max,
-    Cmpxchg,
-}
-
 /// One VM instruction. Jump targets are program counters within the phase
 /// (patched from labels at the end of compilation). Every instruction has a
 /// parallel [`Span`] in `Phase::spans` for error reporting.
@@ -148,10 +106,12 @@ pub(super) enum Insn {
     JumpIfFull { to: u32 },
     Load { dst: Reg, ptr: Reg, idx: Reg, site: u32 },
     Store { src: Reg, ptr: Reg, idx: Reg, site: u32 },
-    GetId { which: IdFn, dst: Reg, dim: Reg },
-    GetWorkDim { dst: Reg },
-    /// Scalar coercion for declarations; pointers pass through (C cast rules).
-    CastScalar { dst: Reg, src: Reg, to_float: bool },
+    /// A builtin other than an atomic, on up to three argument registers
+    /// (slots past its arity are unused).
+    Call { f: Builtin, dst: Reg, args: [Reg; 3] },
+    /// Scalar coercion for casts and declarations; pointers pass through
+    /// (C cast rules).
+    CastScalar { dst: Reg, src: Reg, to: Scalar },
     /// Pointer-typed declaration initializer: value must be a pointer.
     CoercePtr { dst: Reg, src: Reg },
     /// Push a fresh zeroed private array (a new one per execution, matching
@@ -159,12 +119,8 @@ pub(super) enum Insn {
     AllocPriv { dst: Reg, len: u32, is_float: bool },
     /// Bind the group-shared `__local` array `idx`, allocating it lazily.
     BindLocal { dst: Reg, idx: u32 },
-    Atomic { f: AtomicFn, dst: Reg, ptr: Reg, a: Reg, b: Reg },
-    Math1 { f: Math1Fn, dst: Reg, x: Reg },
-    Math2 { f: Math2Fn, dst: Reg, a: Reg, b: Reg },
-    Mad { dst: Reg, a: Reg, b: Reg, c: Reg },
-    MinMax { is_min: bool, dst: Reg, a: Reg, b: Reg },
-    Abs { dst: Reg, src: Reg },
+    /// An atomic on `ptr` with the operands after the pointer.
+    Atomic { op: Atomic, dst: Reg, ptr: Reg, args: [Reg; 2] },
     /// Sampled-run loop entry: compute the trip count from the induction
     /// register and the pre-evaluated bound, then either arm a short full
     /// run (`counter = trips, scaled = 0`) or open a scale region
@@ -536,10 +492,9 @@ impl Compiler {
                 self.restore(wm);
                 let v = self.declare_var(&decl.name, decl.span)?;
                 match decl.ty {
-                    Type::Scalar(s) => self.emit(
-                        Insn::CastScalar { dst: v, src: r, to_float: s.is_float() },
-                        init.span(),
-                    ),
+                    Type::Scalar(to) => {
+                        self.emit(Insn::CastScalar { dst: v, src: r, to }, init.span())
+                    }
                     Type::Ptr { .. } => {
                         self.emit(Insn::CoercePtr { dst: v, src: r }, init.span())
                     }
@@ -835,7 +790,7 @@ impl Compiler {
             Expr::Cast { to, operand, .. } => {
                 let src = self.compile_expr(operand)?;
                 let dst = self.alloc(span)?;
-                self.emit(Insn::CastScalar { dst, src, to_float: to.is_float() }, span);
+                self.emit(Insn::CastScalar { dst, src, to: *to }, span);
                 Ok(dst)
             }
             Expr::Ternary { cond, then, els, .. } => {
@@ -993,134 +948,29 @@ impl Compiler {
     }
 
     fn compile_call(&mut self, name: &str, args: &[Expr], span: Span) -> ExecResult<Reg> {
-        let id_fn = match name {
-            "get_global_id" => Some(IdFn::GlobalId),
-            "get_local_id" => Some(IdFn::LocalId),
-            "get_group_id" => Some(IdFn::GroupId),
-            "get_global_size" => Some(IdFn::GlobalSize),
-            "get_local_size" => Some(IdFn::LocalSize),
-            "get_num_groups" => Some(IdFn::NumGroups),
-            "get_global_offset" => Some(IdFn::GlobalOffset),
-            _ => None,
-        };
-        if let Some(which) = id_fn {
-            let dim = self.compile_expr(&args[0])?;
+        let Some(f) = builtins::lookup(name) else {
             let dst = self.alloc(span)?;
-            self.emit(Insn::GetId { which, dst, dim }, span);
+            let msg = format!("unknown builtin `{}`", name).into();
+            self.emit(Insn::Fail { msg }, span);
             return Ok(dst);
+        };
+        // Arguments left to right, each protected from later siblings'
+        // writes, like the tree-walker's evaluation into values.
+        let mut regs: [Reg; 3] = [0; 3];
+        for (i, (slot, arg)) in regs.iter_mut().zip(args).enumerate() {
+            let r = self.compile_expr(arg)?;
+            *slot = self.protect(r, args[i + 1..].iter().any(writes_vars), span)?;
         }
-        match name {
-            "get_work_dim" => {
-                let dst = self.alloc(span)?;
-                self.emit(Insn::GetWorkDim { dst }, span);
-                Ok(dst)
+        let dst = self.alloc(span)?;
+        let insn = match f {
+            Builtin::Atomic(op) => {
+                let [ptr, a, b] = regs;
+                Insn::Atomic { op, dst, ptr, args: [a, b] }
             }
-            "barrier" => {
-                let dst = self.alloc(span)?;
-                self.emit(
-                    Insn::Fail {
-                        msg: "barrier() must be a top-level statement of the kernel body".into(),
-                    },
-                    span,
-                );
-                Ok(dst)
-            }
-            "atomic_inc" | "atomic_dec" => {
-                let f = if name == "atomic_inc" { AtomicFn::Inc } else { AtomicFn::Dec };
-                let ptr = self.compile_expr(&args[0])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Atomic { f, dst, ptr, a: 0, b: 0 }, span);
-                Ok(dst)
-            }
-            "atomic_add" | "atomic_sub" | "atomic_xchg" | "atomic_min" | "atomic_max" => {
-                let f = match name {
-                    "atomic_add" => AtomicFn::Add,
-                    "atomic_sub" => AtomicFn::Sub,
-                    "atomic_xchg" => AtomicFn::Xchg,
-                    "atomic_min" => AtomicFn::Min,
-                    _ => AtomicFn::Max,
-                };
-                let ptr = self.compile_expr(&args[0])?;
-                let ptr = self.protect(ptr, writes_vars(&args[1]), span)?;
-                let a = self.compile_expr(&args[1])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Atomic { f, dst, ptr, a, b: 0 }, span);
-                Ok(dst)
-            }
-            "atomic_cmpxchg" => {
-                let ptr = self.compile_expr(&args[0])?;
-                let hazard = writes_vars(&args[1]) || writes_vars(&args[2]);
-                let ptr = self.protect(ptr, hazard, span)?;
-                let a = self.compile_expr(&args[1])?;
-                let a = self.protect(a, writes_vars(&args[2]), span)?;
-                let b = self.compile_expr(&args[2])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Atomic { f: AtomicFn::Cmpxchg, dst, ptr, a, b }, span);
-                Ok(dst)
-            }
-            "sqrt" | "rsqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil" => {
-                let f = match name {
-                    "sqrt" => Math1Fn::Sqrt,
-                    "rsqrt" => Math1Fn::Rsqrt,
-                    "fabs" => Math1Fn::Fabs,
-                    "exp" => Math1Fn::Exp,
-                    "log" => Math1Fn::Log,
-                    "sin" => Math1Fn::Sin,
-                    "cos" => Math1Fn::Cos,
-                    "floor" => Math1Fn::Floor,
-                    _ => Math1Fn::Ceil,
-                };
-                let x = self.compile_expr(&args[0])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Math1 { f, dst, x }, span);
-                Ok(dst)
-            }
-            "pow" | "fmin" | "fmax" => {
-                let f = match name {
-                    "pow" => Math2Fn::Pow,
-                    "fmin" => Math2Fn::Fmin,
-                    _ => Math2Fn::Fmax,
-                };
-                let a = self.compile_expr(&args[0])?;
-                let a = self.protect(a, writes_vars(&args[1]), span)?;
-                let b = self.compile_expr(&args[1])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Math2 { f, dst, a, b }, span);
-                Ok(dst)
-            }
-            "mad" | "fma" => {
-                let a = self.compile_expr(&args[0])?;
-                let a = self.protect(a, writes_vars(&args[1]) || writes_vars(&args[2]), span)?;
-                let b = self.compile_expr(&args[1])?;
-                let b = self.protect(b, writes_vars(&args[2]), span)?;
-                let c = self.compile_expr(&args[2])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Mad { dst, a, b, c }, span);
-                Ok(dst)
-            }
-            "min" | "max" => {
-                let a = self.compile_expr(&args[0])?;
-                let a = self.protect(a, writes_vars(&args[1]), span)?;
-                let b = self.compile_expr(&args[1])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::MinMax { is_min: name == "min", dst, a, b }, span);
-                Ok(dst)
-            }
-            "abs" => {
-                let src = self.compile_expr(&args[0])?;
-                let dst = self.alloc(span)?;
-                self.emit(Insn::Abs { dst, src }, span);
-                Ok(dst)
-            }
-            other => {
-                let dst = self.alloc(span)?;
-                self.emit(
-                    Insn::Fail { msg: format!("unknown builtin `{}`", other).into() },
-                    span,
-                );
-                Ok(dst)
-            }
-        }
+            f => Insn::Call { f, dst, args: regs },
+        };
+        self.emit(insn, span);
+        Ok(dst)
     }
 }
 

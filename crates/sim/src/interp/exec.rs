@@ -6,43 +6,25 @@
 //! See the module docs of [`crate::interp`] for the execution model. The
 //! evaluator is generic over a [`Tracer`] so the functional path pays no
 //! profiling cost.
+//!
+//! It shares only leaf semantics with the VM (operators, casts, builtin
+//! values, the atomic update rule, argument binding, phase splitting; see
+//! [`crate::interp`]). Its evaluation order, name-based scoping, control
+//! flow, lvalue handling and sampled-run loop extrapolation are its own,
+//! so the differential suite compares two independent walks of the kernel.
 
 use super::compile::SiteTable;
 use super::tracer::Tracer;
 use super::{
-    in_bounds, item_ids, loop_fast_forward, loop_trips, Full, GlobalView, Sampled, Value,
-    PROFILE_LOOP_SAMPLES,
+    atomic_in, atomic_update, bind_args, binary_op, builtin_value, cast_value, coerce_ptr,
+    const_int, in_bounds, loop_fast_forward, loop_trips, split_phases, unary_op, writes_var,
+    ExecError, ExecResult, Full, GlobalView, ItemIds, Sampled, Value, PROFILE_LOOP_SAMPLES,
 };
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
-use clc::visit::Child;
-use clc::{AssignOp, BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
+use clc::builtins::{self, Builtin};
+use clc::{AssignOp, BinOp, Expr, Kernel, Span, Stmt, Type};
 use std::collections::HashMap;
-use std::fmt;
-
-/// Runtime error (out-of-bounds access, division by zero, unsupported
-/// construct, argument mismatch).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecError {
-    pub message: String,
-    pub span: Span,
-}
-
-impl ExecError {
-    pub fn new(message: impl Into<String>, span: Span) -> Self {
-        ExecError { message: message.into(), span }
-    }
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "runtime error at {}: {}", self.span, self.message)
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-pub(super) type ExecResult<T> = Result<T, ExecError>;
 
 /// Statement completion status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,100 +62,10 @@ struct Locals {
     by_name: HashMap<String, usize>,
 }
 
-/// Bind kernel arguments to parameter slots (in declaration order),
-/// validating kinds. Shared by the tree-walker and the bytecode VM so both
-/// report byte-identical argument errors.
-pub(super) fn bind_args(
-    kernel_name: &str,
-    params: &[Param],
-    kernel_span: Span,
-    args: &[ArgValue],
-    mem: &Memory,
-) -> ExecResult<Vec<Value>> {
-    if args.len() != params.len() {
-        return Err(ExecError::new(
-            format!(
-                "kernel `{}` takes {} arguments, {} supplied",
-                kernel_name,
-                params.len(),
-                args.len()
-            ),
-            kernel_span,
-        ));
-    }
-    let mut bindings = Vec::with_capacity(args.len());
-    for (param, arg) in params.iter().zip(args) {
-        let value = match (&param.ty, arg) {
-            (Type::Ptr { elem, .. }, ArgValue::Buffer(id)) => {
-                let buf_elem = mem.get(*id).elem();
-                // Float pointers must bind float buffers and vice versa; the
-                // integer width is flexible (int buffers back int/long ptrs).
-                if elem.is_float() != buf_elem.is_float() {
-                    return Err(ExecError::new(
-                        format!(
-                            "argument for `{}` has element type {} but buffer holds {}",
-                            param.name, elem, buf_elem
-                        ),
-                        param.span,
-                    ));
-                }
-                Value::GlobalPtr { buf: *id, offset: 0, elem: *elem }
-            }
-            (Type::Scalar(s), ArgValue::Int(v)) if s.is_integer() => Value::Int(*v),
-            (Type::Scalar(s), ArgValue::Float(v)) if s.is_float() => Value::Float(*v),
-            (Type::Scalar(s), ArgValue::Int(v)) if s.is_float() => Value::Float(*v as f32),
-            (ty, arg) => {
-                return Err(ExecError::new(
-                    format!("argument for `{}` ({}) does not match {:?}", param.name, ty, arg),
-                    param.span,
-                ));
-            }
-        };
-        bindings.push(value);
-    }
-    Ok(bindings)
-}
-
 /// Bind kernel arguments to parameter names (tree-walker scope layout).
 fn bind_params(kernel: &Kernel, args: &[ArgValue], mem: &Memory) -> ExecResult<Vec<(String, Value)>> {
     let values = bind_args(&kernel.name, &kernel.params, kernel.span, args, mem)?;
     Ok(kernel.params.iter().map(|p| p.name.clone()).zip(values).collect())
-}
-
-/// Split the kernel body into barrier-delimited phases. A `barrier(...)`
-/// call anywhere other than as a top-level statement (nested in a block,
-/// a loop header or another expression) is an error.
-pub(super) fn split_phases(body: &[Stmt], kernel_span: Span) -> ExecResult<Vec<&[Stmt]>> {
-    fn stmt_has_barrier(stmt: &Stmt) -> bool {
-        stmt.children().any(|child| match child {
-            Child::Stmt(s) => stmt_has_barrier(s),
-            Child::Expr(e) => expr_has_barrier(e),
-        })
-    }
-    fn expr_has_barrier(e: &Expr) -> bool {
-        matches!(e, Expr::Call { name, .. } if name == "barrier")
-            || e.children().any(expr_has_barrier)
-    }
-
-    let mut phases = Vec::new();
-    let mut start = 0;
-    for (i, stmt) in body.iter().enumerate() {
-        if let Stmt::Expr(Expr::Call { name, .. }) = stmt {
-            if name == "barrier" {
-                phases.push(&body[start..i]);
-                start = i + 1;
-                continue;
-            }
-        }
-        if stmt_has_barrier(stmt) {
-            return Err(ExecError::new(
-                "barrier() must be a top-level statement of the kernel body",
-                kernel_span,
-            ));
-        }
-    }
-    phases.push(&body[start..]);
-    Ok(phases)
 }
 
 /// Execute one entire work-group (all its work-items, phase by phase).
@@ -199,18 +91,13 @@ fn run_work_group<T: Tracer>(
             if item.returned {
                 continue;
             }
-            let local = nd.local_coords(linear);
-            let gid = std::array::from_fn(|d| group[d] * nd.local[d] + local[d] + nd.offset[d]);
             let mut interp = Interp {
                 global: Full(&mut *mem),
                 tracer,
                 sites: &sites,
                 locals: &mut locals,
                 item,
-                nd,
-                gid,
-                lid: local,
-                grp: group,
+                ids: ItemIds::in_group(nd, group, linear),
             };
             for stmt in phase {
                 match interp.exec_stmt(stmt)? {
@@ -274,7 +161,6 @@ pub fn run_single_items<T: Tracer>(
     let mut atomics = HashMap::new();
     for &linear in global_ids {
         tracer.begin_item();
-        let [gid, lid, grp] = item_ids(nd, linear);
         let mut locals = Locals::default();
         let mut item =
             ItemState { scopes: vec![params.clone()], priv_arrays: Vec::new(), returned: false };
@@ -284,10 +170,7 @@ pub fn run_single_items<T: Tracer>(
             sites: &sites,
             locals: &mut locals,
             item: &mut item,
-            nd,
-            gid,
-            lid,
-            grp,
+            ids: ItemIds::at(nd, linear),
         };
         for stmt in &kernel.body {
             if matches!(interp.exec_stmt(stmt)?, Flow::Return) {
@@ -304,10 +187,7 @@ struct Interp<'a, T: Tracer, G: GlobalView> {
     sites: &'a SiteTable,
     locals: &'a mut Locals,
     item: &'a mut ItemState,
-    nd: &'a NdRange,
-    gid: [usize; 3],
-    lid: [usize; 3],
-    grp: [usize; 3],
+    ids: ItemIds<'a>,
 }
 
 impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
@@ -687,16 +567,7 @@ impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
             Expr::Ident { name, span } => self.lookup(name, *span),
             Expr::Unary { op, operand, span } => {
                 let v = self.eval(operand)?;
-                self.tracer.arith(v.is_float(), 1.0);
-                match op {
-                    UnOp::Neg => Ok(match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Float(x) => Value::Float(-x),
-                        _ => return Err(ExecError::new("cannot negate pointer", *span)),
-                    }),
-                    UnOp::Not => Ok(Value::Int((!v.is_truthy()) as i64)),
-                    UnOp::BitNot => Ok(Value::Int(!v.as_i64())),
-                }
+                unary_op(self.tracer, *op, v, *span)
             }
             Expr::Binary { op, lhs, rhs, span } => {
                 // Short-circuit logicals.
@@ -849,124 +720,19 @@ impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
     // ----- builtins ----------------------------------------------------------
 
     fn call(&mut self, name: &str, args: &[Expr], span: Span) -> ExecResult<Value> {
-        match name {
-            "get_global_id" | "get_local_id" | "get_group_id" | "get_global_size"
-            | "get_local_size" | "get_num_groups" | "get_global_offset" => {
-                let d = self.eval(&args[0])?.as_i64() as usize;
-                if d > 2 {
-                    return Err(ExecError::new(format!("dimension {} out of range", d), span));
-                }
-                let v = match name {
-                    "get_global_id" => self.gid[d],
-                    "get_local_id" => self.lid[d],
-                    "get_group_id" => self.grp[d],
-                    "get_global_size" => self.nd.global[d],
-                    "get_local_size" => self.nd.local[d],
-                    "get_num_groups" => self.nd.groups_in_dim(d),
-                    "get_global_offset" => self.nd.offset[d],
-                    _ => unreachable!(),
-                };
-                Ok(Value::Int(v as i64))
+        let Some(f) = builtins::lookup(name) else {
+            return Err(ExecError::new(format!("unknown builtin `{}`", name), span));
+        };
+        let mut values = [Value::Int(0); 3];
+        for (v, arg) in values.iter_mut().zip(args) {
+            *v = self.eval(arg)?;
+        }
+        match f {
+            Builtin::Atomic(op) => {
+                let [ptr, a, b] = values;
+                self.atomic_rmw(ptr, span, |old| atomic_update(op, old, [a, b]))
             }
-            "get_work_dim" => Ok(Value::Int(self.nd.work_dim as i64)),
-            "barrier" => Err(ExecError::new(
-                "barrier() must be a top-level statement of the kernel body",
-                span,
-            )),
-            "atomic_inc" | "atomic_dec" => {
-                let ptr = self.eval(&args[0])?;
-                let delta = if name == "atomic_inc" { 1 } else { -1 };
-                self.atomic_rmw(ptr, span, |old| old + delta)
-            }
-            "atomic_add" | "atomic_sub" => {
-                let ptr = self.eval(&args[0])?;
-                let v = self.eval(&args[1])?.as_i64();
-                let delta = if name == "atomic_add" { v } else { -v };
-                self.atomic_rmw(ptr, span, |old| old.wrapping_add(delta))
-            }
-            "atomic_xchg" => {
-                let ptr = self.eval(&args[0])?;
-                let v = self.eval(&args[1])?.as_i64();
-                self.atomic_rmw(ptr, span, |_| v)
-            }
-            "atomic_min" => {
-                let ptr = self.eval(&args[0])?;
-                let v = self.eval(&args[1])?.as_i64();
-                self.atomic_rmw(ptr, span, |old| old.min(v))
-            }
-            "atomic_max" => {
-                let ptr = self.eval(&args[0])?;
-                let v = self.eval(&args[1])?.as_i64();
-                self.atomic_rmw(ptr, span, |old| old.max(v))
-            }
-            "atomic_cmpxchg" => {
-                let ptr = self.eval(&args[0])?;
-                let cmp = self.eval(&args[1])?.as_i64();
-                let val = self.eval(&args[2])?.as_i64();
-                self.atomic_rmw(ptr, span, |old| if old == cmp { val } else { old })
-            }
-            // Scalar math: count as heavier float work (4 flops).
-            "sqrt" | "rsqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "floor" | "ceil" => {
-                let x = self.eval(&args[0])?.as_f32();
-                self.tracer.arith(true, 4.0);
-                let r = match name {
-                    "sqrt" => x.sqrt(),
-                    "rsqrt" => 1.0 / x.sqrt(),
-                    "fabs" => x.abs(),
-                    "exp" => x.exp(),
-                    "log" => x.ln(),
-                    "sin" => x.sin(),
-                    "cos" => x.cos(),
-                    "floor" => x.floor(),
-                    "ceil" => x.ceil(),
-                    _ => unreachable!(),
-                };
-                Ok(Value::Float(r))
-            }
-            "pow" | "fmin" | "fmax" => {
-                let a = self.eval(&args[0])?.as_f32();
-                let b = self.eval(&args[1])?.as_f32();
-                self.tracer.arith(true, if name == "pow" { 4.0 } else { 1.0 });
-                let r = match name {
-                    "pow" => a.powf(b),
-                    "fmin" => a.min(b),
-                    "fmax" => a.max(b),
-                    _ => unreachable!(),
-                };
-                Ok(Value::Float(r))
-            }
-            "mad" | "fma" => {
-                let a = self.eval(&args[0])?.as_f32();
-                let b = self.eval(&args[1])?.as_f32();
-                let c = self.eval(&args[2])?.as_f32();
-                self.tracer.arith(true, 2.0);
-                Ok(Value::Float(a * b + c))
-            }
-            "min" | "max" | "abs" => {
-                let a = self.eval(&args[0])?;
-                let float = if name == "abs" {
-                    a.is_float()
-                } else {
-                    let b = self.eval(&args[1])?;
-                    // Re-evaluate below; cheap enough and keeps arg effects.
-                    self.tracer.arith(a.is_float() || b.is_float(), 1.0);
-                    let r = match (name, a.is_float() || b.is_float()) {
-                        ("min", true) => Value::Float(a.as_f32().min(b.as_f32())),
-                        ("max", true) => Value::Float(a.as_f32().max(b.as_f32())),
-                        ("min", false) => Value::Int(a.as_i64().min(b.as_i64())),
-                        ("max", false) => Value::Int(a.as_i64().max(b.as_i64())),
-                        _ => unreachable!(),
-                    };
-                    return Ok(r);
-                };
-                self.tracer.arith(float, 1.0);
-                Ok(match a {
-                    Value::Int(x) => Value::Int(x.abs()),
-                    Value::Float(x) => Value::Float(x.abs()),
-                    _ => return Err(ExecError::new("abs on pointer", span)),
-                })
-            }
-            other => Err(ExecError::new(format!("unknown builtin `{}`", other), span)),
+            f => builtin_value(self.tracer, f, values, &self.ids, span),
         }
     }
 
@@ -977,22 +743,12 @@ impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
         f: impl FnOnce(i64) -> i64,
     ) -> ExecResult<Value> {
         match ptr {
-            Value::LocalPtr { arr, offset } => {
-                let a = &mut self.locals.arrays[arr];
-                let i = offset as usize;
-                let old = a[i].as_i64();
-                a[i] = Value::Int(f(old));
-                Ok(Value::Int(old))
-            }
+            Value::LocalPtr { arr, offset } => Ok(atomic_in(&mut self.locals.arrays[arr], offset, f)),
             Value::GlobalPtr { buf, offset, .. } => {
                 Ok(Value::Int(self.global.atomic(buf, offset, span, f)?))
             }
             Value::PrivPtr { arr, offset } => {
-                let a = &mut self.item.priv_arrays[arr];
-                let i = offset as usize;
-                let old = a[i].as_i64();
-                a[i] = Value::Int(f(old));
-                Ok(Value::Int(old))
+                Ok(atomic_in(&mut self.item.priv_arrays[arr], offset, f))
             }
             other => Err(ExecError::new(
                 format!("atomic operation on non-pointer {:?}", other),
@@ -1004,127 +760,10 @@ impl<'a, T: Tracer, G: GlobalView> Interp<'a, T, G> {
     fn coerce_to(&self, value: Value, ty: Type, span: Span) -> ExecResult<Value> {
         match ty {
             Type::Scalar(s) => Ok(cast_value(value, s)),
-            Type::Ptr { .. } => match value {
-                Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => {
-                    Ok(value)
-                }
-                other => Err(ExecError::new(
-                    format!("cannot initialize pointer from {:?}", other),
-                    span,
-                )),
-            },
+            Type::Ptr { .. } => coerce_ptr(value, span),
             Type::Void => Err(ExecError::new("void value", span)),
         }
     }
-}
-
-/// The binary-operator kernel shared verbatim by the tree-walking reference
-/// interpreter and the bytecode VM: one arith event, then C-style evaluation
-/// on int or float operands.
-pub(super) fn binary_op<T: Tracer>(
-    tracer: &mut T,
-    op: BinOp,
-    l: Value,
-    r: Value,
-    span: Span,
-) -> ExecResult<Value> {
-    let float = l.is_float() || r.is_float();
-    tracer.arith(float, 1.0);
-    use BinOp::*;
-    if float {
-        let (a, b) = (l.as_f32(), r.as_f32());
-        return Ok(match op {
-            Add => Value::Float(a + b),
-            Sub => Value::Float(a - b),
-            Mul => Value::Float(a * b),
-            Div => Value::Float(a / b),
-            Lt => Value::Int((a < b) as i64),
-            Gt => Value::Int((a > b) as i64),
-            Le => Value::Int((a <= b) as i64),
-            Ge => Value::Int((a >= b) as i64),
-            Eq => Value::Int((a == b) as i64),
-            Ne => Value::Int((a != b) as i64),
-            other => {
-                return Err(ExecError::new(
-                    format!("`{}` on float operands", other.symbol()),
-                    span,
-                ));
-            }
-        });
-    }
-    let (a, b) = (l.as_i64(), r.as_i64());
-    Ok(match op {
-        Add => Value::Int(a.wrapping_add(b)),
-        Sub => Value::Int(a.wrapping_sub(b)),
-        Mul => Value::Int(a.wrapping_mul(b)),
-        Div => {
-            if b == 0 {
-                return Err(ExecError::new("integer division by zero", span));
-            }
-            Value::Int(a.wrapping_div(b))
-        }
-        Rem => {
-            if b == 0 {
-                return Err(ExecError::new("integer remainder by zero", span));
-            }
-            Value::Int(a.wrapping_rem(b))
-        }
-        Shl => Value::Int(a.wrapping_shl(b as u32)),
-        Shr => Value::Int(a.wrapping_shr(b as u32)),
-        BitAnd => Value::Int(a & b),
-        BitOr => Value::Int(a | b),
-        BitXor => Value::Int(a ^ b),
-        Lt => Value::Int((a < b) as i64),
-        Gt => Value::Int((a > b) as i64),
-        Le => Value::Int((a <= b) as i64),
-        Ge => Value::Int((a >= b) as i64),
-        Eq => Value::Int((a == b) as i64),
-        Ne => Value::Int((a != b) as i64),
-        And | Or => unreachable!("short-circuited above"),
-    })
-}
-
-/// Convert a value to the given scalar type with C semantics.
-pub(super) fn cast_value(v: Value, to: Scalar) -> Value {
-    match v {
-        Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => v,
-        _ => {
-            if to.is_float() {
-                Value::Float(v.as_f32())
-            } else {
-                Value::Int(v.as_i64())
-            }
-        }
-    }
-}
-
-/// Syntactic check for a compile-time integer constant (used by loop
-/// analysis for step deltas).
-pub(super) fn const_int(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::IntLit { value, .. } => Some(*value),
-        Expr::Unary { op: UnOp::Neg, operand, .. } => const_int(operand).map(|v| -v),
-        _ => None,
-    }
-}
-
-/// Does `stmt` contain any write to variable `var`?
-pub(super) fn writes_var(stmt: &Stmt, var: &str) -> bool {
-    stmt.children().any(|child| match child {
-        Child::Stmt(s) => writes_var(s, var),
-        Child::Expr(e) => expr_writes(e, Some(var)),
-    })
-}
-
-/// Does evaluating `e` assign or increment the scalar variable `var` (any
-/// scalar variable when `var` is `None`)? Memory writes don't count.
-pub(super) fn expr_writes(e: &Expr, var: Option<&str>) -> bool {
-    let target = match e {
-        Expr::Assign { target, .. } | Expr::IncDec { target, .. } => Some(target.as_ref()),
-        _ => None,
-    };
-    matches!(target, Some(Expr::Ident { name, .. }) if var.is_none_or(|v| v == name))
-        || e.children().any(|c| expr_writes(c, var))
 }
 
 #[cfg(test)]

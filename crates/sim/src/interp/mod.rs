@@ -28,6 +28,16 @@
 //! Both engines reach global memory only through a `GlobalView`, one
 //! implementation per entry point, monomorphized like [`Tracer`].
 //!
+//! The leaf semantics live here once, and both engines call them:
+//! [`ExecError`], argument binding, barrier phase splitting, the syntactic
+//! loop-analysis helpers, unary and binary operators, casts and pointer
+//! coercion, the work-item queries, one evaluator per builtin (its value
+//! and its arith events) and the atomic update rule. Builtins arrive as
+//! the typed [`clc::builtins::Builtin`], resolved from the call's name
+//! once. Everything above the leaves — evaluation order, scoping, control
+//! flow, loop extrapolation, the group and item drivers — each engine
+//! implements on its own.
+//!
 //! Barrier restriction: `barrier()` must appear as a top-level statement of
 //! the kernel body. The kernel is split into barrier-delimited *phases*;
 //! each phase runs for every work-item of the group before the next phase
@@ -42,14 +52,39 @@ mod tracer;
 pub mod vm;
 
 pub use compile::{compile_kernel, CompiledKernel, SiteTable};
-pub use exec::ExecError;
 pub use tracer::{NullTracer, SiteKey, Tracer};
 
 use crate::buffer::{ArgValue, Buffer, BufferId, Memory};
 use crate::ndrange::NdRange;
-use clc::{BinOp, Kernel, Scalar, Span};
-use exec::ExecResult;
+use clc::builtins::{self, Atomic, Builtin, Math1, Math2, Query};
+use clc::visit::Child;
+use clc::{BinOp, Expr, Kernel, Param, Scalar, Span, Stmt, Type, UnOp};
 use std::collections::HashMap;
+use std::fmt;
+
+/// Runtime error (out-of-bounds access, division by zero, unsupported
+/// construct, argument mismatch).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExecError {
+    pub message: String,
+    pub span: Span,
+}
+
+impl ExecError {
+    pub fn new(message: impl Into<String>, span: Span) -> Self {
+        ExecError { message: message.into(), span }
+    }
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "runtime error at {}: {}", self.span, self.message)
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+type ExecResult<T> = Result<T, ExecError>;
 
 /// In a sampled run, how many iterations of an analyzable loop are executed
 /// before the remainder is extrapolated.
@@ -78,18 +113,6 @@ fn loop_trips(cmp: BinOp, cur: i64, bound: i64, delta: i64) -> i128 {
 fn loop_fast_forward(trips: i128, delta: i64) -> i64 {
     let ffwd = (trips - PROFILE_LOOP_SAMPLES as i128) * delta as i128;
     ffwd.clamp(i64::MIN as i128, i64::MAX as i128) as i64
-}
-
-/// The global, local and group ids of the work-item at global linear id
-/// `linear` (dimension 0 fastest), as both engines' `run_single_items`
-/// place it.
-fn item_ids(nd: &NdRange, linear: usize) -> [[usize; 3]; 3] {
-    let (g0, g1) = (nd.global[0], nd.global[1]);
-    let g = [linear % g0, (linear / g0) % g1, linear / (g0 * g1)];
-    let gid = std::array::from_fn(|d| g[d] + nd.offset[d]);
-    let lid = std::array::from_fn(|d| g[d] % nd.local[d]);
-    let grp = std::array::from_fn(|d| g[d] / nd.local[d]);
-    [gid, lid, grp]
 }
 
 /// The tree-walking reference interpreter: the oracle the bytecode VM must
@@ -306,6 +329,369 @@ impl Value {
     pub fn is_float(&self) -> bool {
         matches!(self, Value::Float(_))
     }
+}
+
+// ---------------------------------------------------------------------------
+// Leaf semantics shared by both engines
+// ---------------------------------------------------------------------------
+
+/// Bind kernel arguments to parameter slots (in declaration order),
+/// validating kinds, so both engines report byte-identical argument
+/// errors.
+fn bind_args(
+    kernel_name: &str,
+    params: &[Param],
+    kernel_span: Span,
+    args: &[ArgValue],
+    mem: &Memory,
+) -> ExecResult<Vec<Value>> {
+    if args.len() != params.len() {
+        return Err(ExecError::new(
+            format!(
+                "kernel `{}` takes {} arguments, {} supplied",
+                kernel_name,
+                params.len(),
+                args.len()
+            ),
+            kernel_span,
+        ));
+    }
+    let mut bindings = Vec::with_capacity(args.len());
+    for (param, arg) in params.iter().zip(args) {
+        let value = match (&param.ty, arg) {
+            (Type::Ptr { elem, .. }, ArgValue::Buffer(id)) => {
+                let buf_elem = mem.get(*id).elem();
+                // Float pointers must bind float buffers and vice versa; the
+                // integer width is flexible (int buffers back int/long ptrs).
+                if elem.is_float() != buf_elem.is_float() {
+                    return Err(ExecError::new(
+                        format!(
+                            "argument for `{}` has element type {} but buffer holds {}",
+                            param.name, elem, buf_elem
+                        ),
+                        param.span,
+                    ));
+                }
+                Value::GlobalPtr { buf: *id, offset: 0, elem: *elem }
+            }
+            (Type::Scalar(s), ArgValue::Int(v)) if s.is_integer() => Value::Int(*v),
+            (Type::Scalar(s), ArgValue::Float(v)) if s.is_float() => Value::Float(*v),
+            (Type::Scalar(s), ArgValue::Int(v)) if s.is_float() => Value::Float(*v as f32),
+            (ty, arg) => {
+                return Err(ExecError::new(
+                    format!("argument for `{}` ({}) does not match {:?}", param.name, ty, arg),
+                    param.span,
+                ));
+            }
+        };
+        bindings.push(value);
+    }
+    Ok(bindings)
+}
+
+const NESTED_BARRIER: &str = "barrier() must be a top-level statement of the kernel body";
+
+fn is_barrier(e: &Expr) -> bool {
+    matches!(e, Expr::Call { name, .. } if builtins::lookup(name) == Some(Builtin::Barrier))
+}
+
+/// Split the kernel body into barrier-delimited phases. A `barrier(...)`
+/// call anywhere other than as a top-level statement (nested in a block,
+/// a loop header or another expression) is an error.
+fn split_phases(body: &[Stmt], kernel_span: Span) -> ExecResult<Vec<&[Stmt]>> {
+    fn stmt_has_barrier(stmt: &Stmt) -> bool {
+        stmt.children().any(|child| match child {
+            Child::Stmt(s) => stmt_has_barrier(s),
+            Child::Expr(e) => expr_has_barrier(e),
+        })
+    }
+    fn expr_has_barrier(e: &Expr) -> bool {
+        is_barrier(e) || e.children().any(expr_has_barrier)
+    }
+
+    let mut phases = Vec::new();
+    let mut start = 0;
+    for (i, stmt) in body.iter().enumerate() {
+        if matches!(stmt, Stmt::Expr(e) if is_barrier(e)) {
+            phases.push(&body[start..i]);
+            start = i + 1;
+            continue;
+        }
+        if stmt_has_barrier(stmt) {
+            return Err(ExecError::new(NESTED_BARRIER, kernel_span));
+        }
+    }
+    phases.push(&body[start..]);
+    Ok(phases)
+}
+
+/// Syntactic check for a compile-time integer constant (loop analysis's
+/// step deltas).
+fn const_int(e: &Expr) -> Option<i64> {
+    match e {
+        Expr::IntLit { value, .. } => Some(*value),
+        Expr::Unary { op: UnOp::Neg, operand, .. } => const_int(operand).map(|v| -v),
+        _ => None,
+    }
+}
+
+/// Does `stmt` contain any write to variable `var`?
+fn writes_var(stmt: &Stmt, var: &str) -> bool {
+    stmt.children().any(|child| match child {
+        Child::Stmt(s) => writes_var(s, var),
+        Child::Expr(e) => expr_writes(e, Some(var)),
+    })
+}
+
+/// Does evaluating `e` assign or increment the scalar variable `var` (any
+/// scalar variable when `var` is `None`)? Memory writes don't count.
+fn expr_writes(e: &Expr, var: Option<&str>) -> bool {
+    let target = match e {
+        Expr::Assign { target, .. } | Expr::IncDec { target, .. } => Some(target.as_ref()),
+        _ => None,
+    };
+    matches!(target, Some(Expr::Ident { name, .. }) if var.is_none_or(|v| v == name))
+        || e.children().any(|c| expr_writes(c, var))
+}
+
+/// A unary operator: one arith event, then C semantics.
+#[inline]
+fn unary_op<T: Tracer>(tracer: &mut T, op: UnOp, v: Value, span: Span) -> ExecResult<Value> {
+    tracer.arith(v.is_float(), 1.0);
+    Ok(match op {
+        UnOp::Neg => match v {
+            Value::Int(x) => Value::Int(-x),
+            Value::Float(x) => Value::Float(-x),
+            _ => return Err(ExecError::new("cannot negate pointer", span)),
+        },
+        UnOp::Not => Value::Int((!v.is_truthy()) as i64),
+        UnOp::BitNot => Value::Int(!v.as_i64()),
+    })
+}
+
+/// A binary operator (other than the short-circuiting `&&`/`||`): one
+/// arith event, then C-style evaluation on int or float operands.
+fn binary_op<T: Tracer>(
+    tracer: &mut T,
+    op: BinOp,
+    l: Value,
+    r: Value,
+    span: Span,
+) -> ExecResult<Value> {
+    let float = l.is_float() || r.is_float();
+    tracer.arith(float, 1.0);
+    use BinOp::*;
+    if float {
+        let (a, b) = (l.as_f32(), r.as_f32());
+        return Ok(match op {
+            Add => Value::Float(a + b),
+            Sub => Value::Float(a - b),
+            Mul => Value::Float(a * b),
+            Div => Value::Float(a / b),
+            Lt => Value::Int((a < b) as i64),
+            Gt => Value::Int((a > b) as i64),
+            Le => Value::Int((a <= b) as i64),
+            Ge => Value::Int((a >= b) as i64),
+            Eq => Value::Int((a == b) as i64),
+            Ne => Value::Int((a != b) as i64),
+            other => {
+                return Err(ExecError::new(
+                    format!("`{}` on float operands", other.symbol()),
+                    span,
+                ));
+            }
+        });
+    }
+    let (a, b) = (l.as_i64(), r.as_i64());
+    Ok(match op {
+        Add => Value::Int(a.wrapping_add(b)),
+        Sub => Value::Int(a.wrapping_sub(b)),
+        Mul => Value::Int(a.wrapping_mul(b)),
+        Div => {
+            if b == 0 {
+                return Err(ExecError::new("integer division by zero", span));
+            }
+            Value::Int(a.wrapping_div(b))
+        }
+        Rem => {
+            if b == 0 {
+                return Err(ExecError::new("integer remainder by zero", span));
+            }
+            Value::Int(a.wrapping_rem(b))
+        }
+        Shl => Value::Int(a.wrapping_shl(b as u32)),
+        Shr => Value::Int(a.wrapping_shr(b as u32)),
+        BitAnd => Value::Int(a & b),
+        BitOr => Value::Int(a | b),
+        BitXor => Value::Int(a ^ b),
+        Lt => Value::Int((a < b) as i64),
+        Gt => Value::Int((a > b) as i64),
+        Le => Value::Int((a <= b) as i64),
+        Ge => Value::Int((a >= b) as i64),
+        Eq => Value::Int((a == b) as i64),
+        Ne => Value::Int((a != b) as i64),
+        And | Or => unreachable!("engines short-circuit logical operators"),
+    })
+}
+
+/// Convert a value to the given scalar type with C semantics; pointers
+/// pass through.
+fn cast_value(v: Value, to: Scalar) -> Value {
+    match v {
+        Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => v,
+        _ if to.is_float() => Value::Float(v.as_f32()),
+        _ => Value::Int(v.as_i64()),
+    }
+}
+
+/// A pointer-typed declaration's initializer, which must be a pointer.
+fn coerce_ptr(v: Value, span: Span) -> ExecResult<Value> {
+    match v {
+        Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => Ok(v),
+        other => Err(ExecError::new(format!("cannot initialize pointer from {:?}", other), span)),
+    }
+}
+
+/// Where a work-item sits in its NDRange: what the work-item queries read.
+#[derive(Clone, Copy)]
+struct ItemIds<'a> {
+    nd: &'a NdRange,
+    gid: [usize; 3],
+    lid: [usize; 3],
+    grp: [usize; 3],
+}
+
+impl<'a> ItemIds<'a> {
+    /// Work-item `local_linear` of the group at `group` (full runs).
+    fn in_group(nd: &'a NdRange, group: [usize; 3], local_linear: usize) -> Self {
+        let lid = nd.local_coords(local_linear);
+        let gid = std::array::from_fn(|d| group[d] * nd.local[d] + lid[d] + nd.offset[d]);
+        ItemIds { nd, gid, lid, grp: group }
+    }
+
+    /// The work-item at global linear id `linear`, dimension 0 fastest
+    /// (sampled runs).
+    fn at(nd: &'a NdRange, linear: usize) -> Self {
+        let (g0, g1) = (nd.global[0], nd.global[1]);
+        let g = [linear % g0, (linear / g0) % g1, linear / (g0 * g1)];
+        ItemIds {
+            nd,
+            gid: std::array::from_fn(|d| g[d] + nd.offset[d]),
+            lid: std::array::from_fn(|d| g[d] % nd.local[d]),
+            grp: std::array::from_fn(|d| g[d] / nd.local[d]),
+        }
+    }
+
+    fn query(&self, q: Query, dim: Value, span: Span) -> ExecResult<Value> {
+        let d = dim.as_i64() as usize;
+        if d > 2 {
+            return Err(ExecError::new(format!("dimension {} out of range", d), span));
+        }
+        let v = match q {
+            Query::GlobalId => self.gid[d],
+            Query::LocalId => self.lid[d],
+            Query::GroupId => self.grp[d],
+            Query::GlobalSize => self.nd.global[d],
+            Query::LocalSize => self.nd.local[d],
+            Query::NumGroups => self.nd.groups_in_dim(d),
+            Query::GlobalOffset => self.nd.offset[d],
+        };
+        Ok(Value::Int(v as i64))
+    }
+}
+
+/// The value of a builtin call that does not touch memory (every builtin
+/// but the atomics), with its arith events: one-operand math and `pow`
+/// count 4 flops, `mad`/`fma` 2, `fmin`/`fmax`/`min`/`max`/`abs` 1.
+/// `args` holds the evaluated arguments in order; slots past the
+/// builtin's arity are ignored.
+#[inline]
+fn builtin_value<T: Tracer>(
+    tracer: &mut T,
+    f: Builtin,
+    args: [Value; 3],
+    item: &ItemIds,
+    span: Span,
+) -> ExecResult<Value> {
+    let [a, b, c] = args;
+    Ok(match f {
+        Builtin::Query(q) => item.query(q, a, span)?,
+        Builtin::WorkDim => Value::Int(item.nd.work_dim as i64),
+        Builtin::Barrier => return Err(ExecError::new(NESTED_BARRIER, span)),
+        Builtin::Math1(m) => {
+            let x = a.as_f32();
+            tracer.arith(true, 4.0);
+            Value::Float(match m {
+                Math1::Sqrt => x.sqrt(),
+                Math1::Rsqrt => 1.0 / x.sqrt(),
+                Math1::Fabs => x.abs(),
+                Math1::Exp => x.exp(),
+                Math1::Log => x.ln(),
+                Math1::Sin => x.sin(),
+                Math1::Cos => x.cos(),
+                Math1::Floor => x.floor(),
+                Math1::Ceil => x.ceil(),
+            })
+        }
+        Builtin::Math2(m) => {
+            let (a, b) = (a.as_f32(), b.as_f32());
+            tracer.arith(true, if m == Math2::Pow { 4.0 } else { 1.0 });
+            Value::Float(match m {
+                Math2::Pow => a.powf(b),
+                Math2::Fmin => a.min(b),
+                Math2::Fmax => a.max(b),
+            })
+        }
+        Builtin::Mad => {
+            let (a, b, c) = (a.as_f32(), b.as_f32(), c.as_f32());
+            tracer.arith(true, 2.0);
+            Value::Float(a * b + c)
+        }
+        Builtin::Min | Builtin::Max => {
+            let float = a.is_float() || b.is_float();
+            tracer.arith(float, 1.0);
+            match (f == Builtin::Min, float) {
+                (true, true) => Value::Float(a.as_f32().min(b.as_f32())),
+                (false, true) => Value::Float(a.as_f32().max(b.as_f32())),
+                (true, false) => Value::Int(a.as_i64().min(b.as_i64())),
+                (false, false) => Value::Int(a.as_i64().max(b.as_i64())),
+            }
+        }
+        Builtin::Abs => {
+            tracer.arith(a.is_float(), 1.0);
+            match a {
+                Value::Int(x) => Value::Int(x.abs()),
+                Value::Float(x) => Value::Float(x.abs()),
+                _ => return Err(ExecError::new("abs on pointer", span)),
+            }
+        }
+        Builtin::Atomic(_) => unreachable!("engines dispatch atomics on their pointer"),
+    })
+}
+
+/// The value an atomic `op` leaves in an element that held `old`, given
+/// its operands after the pointer (slots past its arity are ignored).
+fn atomic_update(op: Atomic, old: i64, [a, b]: [Value; 2]) -> i64 {
+    match op {
+        Atomic::Inc => old + 1,
+        Atomic::Dec => old - 1,
+        Atomic::Add => old.wrapping_add(a.as_i64()),
+        Atomic::Sub => old.wrapping_add(-a.as_i64()),
+        Atomic::Xchg => a.as_i64(),
+        Atomic::Min => old.min(a.as_i64()),
+        Atomic::Max => old.max(a.as_i64()),
+        Atomic::Cmpxchg if old == a.as_i64() => b.as_i64(),
+        Atomic::Cmpxchg => old,
+    }
+}
+
+/// An atomic on element `offset` of a `__local` or private array: store
+/// `f(old)` and return `old`.
+fn atomic_in(a: &mut [Value], offset: i64, f: impl FnOnce(i64) -> i64) -> Value {
+    let i = offset as usize;
+    let old = a[i].as_i64();
+    a[i] = Value::Int(f(old));
+    Value::Int(old)
 }
 
 #[cfg(test)]

@@ -3,32 +3,30 @@
 //!
 //! Every instruction handler reproduces the corresponding tree-walker
 //! behaviour *exactly* — same tracer events in the same order, same error
-//! messages, same arithmetic (including the shared `binary_op` kernel and
-//! the same overflow/panic behaviour on degenerate inputs). Every profile
+//! messages, same arithmetic and the same overflow/panic behaviour on
+//! degenerate inputs. Operators, casts, builtin calls and atomic updates
+//! run the leaf semantics both engines share (see [`crate::interp`]);
+//! control flow, registers and loop extrapolation are the VM's. Every profile
 //! and every functional run executes on this VM; the tree-walker survives
 //! only as the oracle the differential suite in
 //! `tests/bytecode_equivalence.rs` pins it against.
 
-use super::compile::{AtomicFn, CompiledKernel, IdFn, Insn, LocalSpec, Math1Fn, Math2Fn, Phase};
-use super::exec::{bind_args, binary_op, ExecError, ExecResult};
+use super::compile::{CompiledKernel, Insn, LocalSpec, Phase};
 use super::tracer::Tracer;
 use super::{
-    in_bounds, item_ids, loop_fast_forward, loop_trips, Full, GlobalView, Sampled, Value,
-    PROFILE_LOOP_SAMPLES,
+    atomic_in, atomic_update, bind_args, binary_op, builtin_value, cast_value, coerce_ptr,
+    in_bounds, loop_fast_forward, loop_trips, unary_op, ExecError, ExecResult, Full, GlobalView,
+    ItemIds, Sampled, Value, PROFILE_LOOP_SAMPLES,
 };
 use crate::buffer::{ArgValue, Memory};
 use crate::ndrange::NdRange;
-use clc::UnOp;
 use std::collections::HashMap;
 
 /// Per-dispatch execution context: one work-item's view of the world.
 struct Vm<'a, T: Tracer, G: GlobalView> {
     global: G,
     tracer: &'a mut T,
-    nd: &'a NdRange,
-    gid: [usize; 3],
-    lid: [usize; 3],
-    grp: [usize; 3],
+    ids: ItemIds<'a>,
     /// `__local` array shapes from the compiler (allocated lazily on first
     /// [`Insn::BindLocal`], shared by the work-group).
     specs: &'a [LocalSpec],
@@ -59,17 +57,7 @@ impl<'a, T: Tracer, G: GlobalView> Vm<'a, T, G> {
                 }
                 Insn::CountIop => self.tracer.arith(false, 1.0),
                 Insn::Unary { op, dst, src } => {
-                    let v = regs[src as usize];
-                    self.tracer.arith(v.is_float(), 1.0);
-                    regs[dst as usize] = match op {
-                        UnOp::Neg => match v {
-                            Value::Int(x) => Value::Int(-x),
-                            Value::Float(x) => Value::Float(-x),
-                            _ => return Err(ExecError::new("cannot negate pointer", span)),
-                        },
-                        UnOp::Not => Value::Int((!v.is_truthy()) as i64),
-                        UnOp::BitNot => Value::Int(!v.as_i64()),
-                    };
+                    regs[dst as usize] = unary_op(self.tracer, op, regs[src as usize], span)?;
                 }
                 Insn::Binary { op, dst, lhs, rhs } => {
                     regs[dst as usize] =
@@ -155,48 +143,15 @@ impl<'a, T: Tracer, G: GlobalView> Vm<'a, T, G> {
                         }
                     }
                 }
-                Insn::GetId { which, dst, dim } => {
-                    let d = regs[dim as usize].as_i64() as usize;
-                    if d > 2 {
-                        return Err(ExecError::new(format!("dimension {} out of range", d), span));
-                    }
-                    let v = match which {
-                        IdFn::GlobalId => self.gid[d],
-                        IdFn::LocalId => self.lid[d],
-                        IdFn::GroupId => self.grp[d],
-                        IdFn::GlobalSize => self.nd.global[d],
-                        IdFn::LocalSize => self.nd.local[d],
-                        IdFn::NumGroups => self.nd.groups_in_dim(d),
-                        IdFn::GlobalOffset => self.nd.offset[d],
-                    };
-                    regs[dst as usize] = Value::Int(v as i64);
+                Insn::Call { f, dst, args } => {
+                    let values = args.map(|r| regs[r as usize]);
+                    regs[dst as usize] = builtin_value(self.tracer, f, values, &self.ids, span)?;
                 }
-                Insn::GetWorkDim { dst } => {
-                    regs[dst as usize] = Value::Int(self.nd.work_dim as i64);
-                }
-                Insn::CastScalar { dst, src, to_float } => {
-                    let v = regs[src as usize];
-                    regs[dst as usize] = match v {
-                        Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => {
-                            v
-                        }
-                        _ if to_float => Value::Float(v.as_f32()),
-                        _ => Value::Int(v.as_i64()),
-                    };
+                Insn::CastScalar { dst, src, to } => {
+                    regs[dst as usize] = cast_value(regs[src as usize], to);
                 }
                 Insn::CoercePtr { dst, src } => {
-                    let v = regs[src as usize];
-                    regs[dst as usize] = match v {
-                        Value::GlobalPtr { .. } | Value::LocalPtr { .. } | Value::PrivPtr { .. } => {
-                            v
-                        }
-                        other => {
-                            return Err(ExecError::new(
-                                format!("cannot initialize pointer from {:?}", other),
-                                span,
-                            ));
-                        }
-                    };
+                    regs[dst as usize] = coerce_ptr(regs[src as usize], span)?;
                 }
                 Insn::AllocPriv { dst, len, is_float } => {
                     let zero = if is_float { Value::Float(0.0) } else { Value::Int(0) };
@@ -214,51 +169,19 @@ impl<'a, T: Tracer, G: GlobalView> Vm<'a, T, G> {
                     }
                     regs[dst as usize] = Value::LocalPtr { arr: idx as usize, offset: 0 };
                 }
-                Insn::Atomic { f, dst, ptr, a, b } => {
-                    let av = match f {
-                        AtomicFn::Inc | AtomicFn::Dec => 0,
-                        _ => regs[a as usize].as_i64(),
-                    };
-                    let bv = match f {
-                        AtomicFn::Cmpxchg => regs[b as usize].as_i64(),
-                        _ => 0,
-                    };
-                    let apply = |old: i64| -> i64 {
-                        match f {
-                            AtomicFn::Inc => old + 1,
-                            AtomicFn::Dec => old - 1,
-                            AtomicFn::Add => old.wrapping_add(av),
-                            AtomicFn::Sub => old.wrapping_add(-av),
-                            AtomicFn::Xchg => av,
-                            AtomicFn::Min => old.min(av),
-                            AtomicFn::Max => old.max(av),
-                            AtomicFn::Cmpxchg => {
-                                if old == av {
-                                    bv
-                                } else {
-                                    old
-                                }
-                            }
-                        }
-                    };
+                Insn::Atomic { op, dst, ptr, args } => {
+                    let operands = args.map(|r| regs[r as usize]);
+                    let apply = |old| atomic_update(op, old, operands);
                     regs[dst as usize] = match regs[ptr as usize] {
                         Value::LocalPtr { arr, offset } => {
-                            let arr =
-                                self.locals[arr].as_mut().expect("local bound before use");
-                            let i = offset as usize;
-                            let old = arr[i].as_i64();
-                            arr[i] = Value::Int(apply(old));
-                            Value::Int(old)
+                            let a = self.locals[arr].as_mut().expect("local bound before use");
+                            atomic_in(a, offset, apply)
                         }
                         Value::GlobalPtr { buf, offset, .. } => {
                             Value::Int(self.global.atomic(buf, offset, span, apply)?)
                         }
                         Value::PrivPtr { arr, offset } => {
-                            let arr = &mut self.priv_arrays[arr];
-                            let i = offset as usize;
-                            let old = arr[i].as_i64();
-                            arr[i] = Value::Int(apply(old));
-                            Value::Int(old)
+                            atomic_in(&mut self.priv_arrays[arr], offset, apply)
                         }
                         other => {
                             return Err(ExecError::new(
@@ -266,61 +189,6 @@ impl<'a, T: Tracer, G: GlobalView> Vm<'a, T, G> {
                                 span,
                             ));
                         }
-                    };
-                }
-                Insn::Math1 { f, dst, x } => {
-                    let x = regs[x as usize].as_f32();
-                    self.tracer.arith(true, 4.0);
-                    let r = match f {
-                        Math1Fn::Sqrt => x.sqrt(),
-                        Math1Fn::Rsqrt => 1.0 / x.sqrt(),
-                        Math1Fn::Fabs => x.abs(),
-                        Math1Fn::Exp => x.exp(),
-                        Math1Fn::Log => x.ln(),
-                        Math1Fn::Sin => x.sin(),
-                        Math1Fn::Cos => x.cos(),
-                        Math1Fn::Floor => x.floor(),
-                        Math1Fn::Ceil => x.ceil(),
-                    };
-                    regs[dst as usize] = Value::Float(r);
-                }
-                Insn::Math2 { f, dst, a, b } => {
-                    let a = regs[a as usize].as_f32();
-                    let b = regs[b as usize].as_f32();
-                    self.tracer.arith(true, if f == Math2Fn::Pow { 4.0 } else { 1.0 });
-                    let r = match f {
-                        Math2Fn::Pow => a.powf(b),
-                        Math2Fn::Fmin => a.min(b),
-                        Math2Fn::Fmax => a.max(b),
-                    };
-                    regs[dst as usize] = Value::Float(r);
-                }
-                Insn::Mad { dst, a, b, c } => {
-                    let a = regs[a as usize].as_f32();
-                    let b = regs[b as usize].as_f32();
-                    let c = regs[c as usize].as_f32();
-                    self.tracer.arith(true, 2.0);
-                    regs[dst as usize] = Value::Float(a * b + c);
-                }
-                Insn::MinMax { is_min, dst, a, b } => {
-                    let a = regs[a as usize];
-                    let b = regs[b as usize];
-                    let float = a.is_float() || b.is_float();
-                    self.tracer.arith(float, 1.0);
-                    regs[dst as usize] = match (is_min, float) {
-                        (true, true) => Value::Float(a.as_f32().min(b.as_f32())),
-                        (false, true) => Value::Float(a.as_f32().max(b.as_f32())),
-                        (true, false) => Value::Int(a.as_i64().min(b.as_i64())),
-                        (false, false) => Value::Int(a.as_i64().max(b.as_i64())),
-                    };
-                }
-                Insn::Abs { dst, src } => {
-                    let v = regs[src as usize];
-                    self.tracer.arith(v.is_float(), 1.0);
-                    regs[dst as usize] = match v {
-                        Value::Int(x) => Value::Int(x.abs()),
-                        Value::Float(x) => Value::Float(x.abs()),
-                        _ => return Err(ExecError::new("abs on pointer", span)),
                     };
                 }
                 Insn::LoopBegin { var, bound, counter, scaled, ffwd, delta, cmp } => {
@@ -416,15 +284,10 @@ fn run_work_group<T: Tracer>(
             if item.returned {
                 continue;
             }
-            let local = nd.local_coords(linear);
-            let gid = std::array::from_fn(|d| group[d] * nd.local[d] + local[d] + nd.offset[d]);
             let mut vm = Vm {
                 global: Full(&mut *mem),
                 tracer,
-                nd,
-                gid,
-                lid: local,
-                grp: group,
+                ids: ItemIds::in_group(nd, group, linear),
                 specs: &ck.locals,
                 locals: &mut locals,
                 priv_arrays: &mut item.priv_arrays,
@@ -482,7 +345,6 @@ pub fn run_single_items<T: Tracer>(
     let mut locals: Vec<Option<Vec<Value>>> = vec![None; ck.locals.len()];
     for &linear in global_ids {
         tracer.begin_item();
-        let [gid, lid, grp] = item_ids(nd, linear);
         for r in regs.iter_mut() {
             *r = Value::Int(0);
         }
@@ -494,10 +356,7 @@ pub fn run_single_items<T: Tracer>(
         let mut vm = Vm {
             global: Sampled { mem, atomics: &mut atomics },
             tracer,
-            nd,
-            gid,
-            lid,
-            grp,
+            ids: ItemIds::at(nd, linear),
             specs: &ck.locals,
             locals: &mut locals,
             priv_arrays: &mut priv_arrays,

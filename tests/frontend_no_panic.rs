@@ -1,7 +1,10 @@
 //! Fuzz harness: the compiler frontend must never panic, whatever bytes
 //! it is fed. Malformed input is an `Err`, not a crash — a runtime that
 //! promises to never fail a launch the hardware could still finish cannot
-//! afford an abort inside `clBuildProgram`.
+//! afford an abort inside `clBuildProgram`. Every input goes through both
+//! `clc::compile` and the runtime's entry point `clc::compile_with_defines`,
+//! which preprocesses first; a source without directives must preprocess
+//! to itself.
 //!
 //! Three generators:
 //! 1. raw byte soup (UTF-8-lossy decoded),
@@ -17,6 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 fn compiles_without_panicking(src: &str) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
         let _ = clc::compile(src);
+        let _ = clc::compile_with_defines(src, &[]);
     }))
     .is_ok()
 }
@@ -56,6 +60,17 @@ proptest! {
     fn char_soup_never_panics(chars in prop::collection::vec(any::<char>(), 0..1024)) {
         let src: String = chars.into_iter().collect();
         prop_assert!(compiles_without_panicking(&src));
+    }
+
+    /// With no directive and no define there is nothing to expand: every
+    /// line, multi-byte characters included, comes back as it went in.
+    #[test]
+    fn directive_free_sources_preprocess_to_themselves(
+        chars in prop::collection::vec(any::<char>(), 0..1024),
+    ) {
+        let src: String = chars.into_iter().filter(|&c| c != '#').collect();
+        let out = clc::preprocess::preprocess(&src, &[]).unwrap();
+        prop_assert_eq!(out.lines().collect::<Vec<_>>(), src.lines().collect::<Vec<_>>());
     }
 
     /// OpenCL-ish token soup: syntactically plausible streams that get past
@@ -116,5 +131,27 @@ fn token() -> BoxedStrategy<&'static str> {
 fn corpus_is_valid() {
     for src in corpus() {
         assert!(clc::compile(src).is_ok());
+        assert!(clc::compile_with_defines(src, &[]).is_ok());
     }
+}
+
+/// Multi-byte characters in a comment once came out of the preprocessor
+/// as mojibake that swallowed the next byte, so this valid kernel failed
+/// to build ("unterminated block comment").
+#[test]
+fn runtime_builds_a_kernel_with_multi_byte_comments() {
+    use dopia::prelude::*;
+    struct Zero;
+    impl dopia::ml::Regressor for Zero {
+        fn predict(&self, _: &[f64]) -> f64 {
+            0.0
+        }
+        fn name(&self) -> &'static str {
+            "zero"
+        }
+    }
+    let src = "__kernel void k(__global float* a) { /* x → y →*/ a[get_global_id(0)] = 1.0f; }";
+    let dopia = Dopia::new(Engine::kaveri(), PerfModel::from_regressor(ModelKind::Lin, Box::new(Zero)));
+    let program = dopia.create_program_with_source(src).unwrap();
+    assert!(program.kernel("k").is_some());
 }
